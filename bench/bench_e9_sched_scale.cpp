@@ -5,8 +5,8 @@
 // the event-driven kernel's cost to exactly this machinery.  E9 measures the
 // data structure directly: schedule/pop and cancel/re-schedule churn at a
 // pinned backlog of 1k .. 1M pending events, calendar queue (dsim::Scheduler)
-// vs the retained binary-heap reference (dsim::HeapScheduler) in the same
-// run.  The heap's per-op cost grows ~log N with the backlog; the calendar
+// vs the retained binary-heap reference (HeapScheduler, kept with the test
+// support code) in the same run.  The heap's per-op cost grows ~log N with the backlog; the calendar
 // queue should stay flat — the smoke gate asserts wheel throughput at the
 // largest backlog stays within 2x of the smallest.
 //
@@ -25,8 +25,8 @@
 
 #include "bench/bench_util.hpp"
 #include "src/core/rng.hpp"
-#include "src/dsim/heap_scheduler.hpp"
 #include "src/dsim/scheduler.hpp"
+#include "tests/support/heap_scheduler.hpp"
 
 using namespace castanet;
 using bench::WallTimer;

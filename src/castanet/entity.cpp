@@ -36,18 +36,24 @@ void CosimEntity::advance_hdl_to(SimTime target) {
   if (target < hdl_.now()) return;
   // Deliver everything with ts <= target (window is exclusive at target+1ps
   // granularity; the orchestrator passes target = window - 1ps).
-  auto messages = sync_.take_deliverable(target + SimTime::from_ps(1));
-  for (auto& m : messages) {
+  // Every message taken here is due by `target`, so the run below delivers
+  // all of them.  Entries are only appended before it and only cleared
+  // after it returns: if an apply throws, the callbacks still pending keep
+  // valid indices.
+  std::size_t i = parked_.size();
+  sync_.take_deliverable(target + SimTime::from_ps(1), parked_);
+  for (; i < parked_.size(); ++i) {
+    const TimedMessage& m = parked_[i];
     auto it = apply_.find(m.type);
     require(it != apply_.end(), "CosimEntity: no apply fn for message type");
     const SimTime delay =
         m.timestamp > hdl_.now() ? m.timestamp - hdl_.now() : SimTime::zero();
-    hdl_.schedule_callback(delay,
-                           [fn = &it->second, msg = std::move(m)] {
-                             (*fn)(msg);
-                           });
+    hdl_.schedule_callback(delay, [fn = &it->second, this, i] {
+      (*fn)(parked_[i]);
+    });
   }
   hdl_.run_until(target);
+  parked_.clear();
   sync_.note_hdl_time(hdl_.now());
 }
 

@@ -51,6 +51,10 @@ class CosimEntity {
   MessageChannel& to_net_;
   ConservativeSync sync_;
   std::map<MessageType, ApplyFn> apply_;
+  /// Messages advance_hdl_to has scheduled for delivery, each callback
+  /// naming its entry by index.  Cleared once the HDL run that delivers
+  /// them returns; the capacity is kept, so delivery allocates nothing.
+  std::vector<TimedMessage> parked_;
   std::uint64_t responses_ = 0;
 };
 

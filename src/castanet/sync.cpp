@@ -134,6 +134,13 @@ SimTime ConservativeSync::window() const {
 
 std::vector<TimedMessage> ConservativeSync::take_deliverable(SimTime up_to) {
   std::vector<TimedMessage> out;
+  take_deliverable(up_to, out);
+  return out;
+}
+
+void ConservativeSync::take_deliverable(SimTime up_to,
+                                        std::vector<TimedMessage>& out) {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (InputQueue& q : inputs_) {
     const std::size_t before = q.queue.size();
     while (!q.queue.empty() && q.queue.front().timestamp < up_to) {
@@ -145,7 +152,7 @@ std::vector<TimedMessage> ConservativeSync::take_deliverable(SimTime up_to) {
                   static_cast<double>(q.queue.size()));
     }
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out.begin() + first, out.end(),
             [](const TimedMessage& a, const TimedMessage& b) {
               return a.timestamp < b.timestamp;
             });
@@ -153,7 +160,6 @@ std::vector<TimedMessage> ConservativeSync::take_deliverable(SimTime up_to) {
     granted_ = up_to;
     ++windows_granted_;
   }
-  return out;
 }
 
 void ConservativeSync::note_hdl_time(SimTime t) {

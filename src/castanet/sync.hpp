@@ -67,6 +67,9 @@ class ConservativeSync {
   /// Messages that must be applied to the DUT before the HDL simulator
   /// crosses their time stamps; pops all with ts < `up_to`.
   std::vector<TimedMessage> take_deliverable(SimTime up_to);
+  /// Same, appending the messages (sorted by time stamp) to `out`, so a
+  /// caller that reuses `out` keeps its capacity.
+  void take_deliverable(SimTime up_to, std::vector<TimedMessage>& out);
 
   /// Records the HDL simulator's current time for lag statistics and the
   /// lag invariant (hdl_time <= network_time must always hold).

@@ -33,8 +33,8 @@
 //     per bucket.  Resizing relinks slots; handles stay valid.
 //
 // The execution order contract is bit-for-bit identical to the retained
-// reference implementation (heap_scheduler.hpp), asserted by the randomized
-// differential test tests/dsim/test_scheduler_diff.cpp.
+// reference implementation (tests/support/heap_scheduler.hpp), asserted by
+// the randomized differential test tests/dsim/test_scheduler_diff.cpp.
 //
 // Actions are SmallFn small-buffer callables stored in a slab: a pooled
 // vector of slots addressed by index, with a free list and per-slot

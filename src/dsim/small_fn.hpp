@@ -10,7 +10,9 @@
 // allocation-free — proven by tests/dsim/test_scheduler_alloc.cpp with a
 // counting operator new.  Oversized or throwing-move captures (the session's
 // TimedMessage replay lambda) fall back to a single heap cell with identical
-// semantics.
+// semantics.  The RTL kernel stores its process bodies and scheduled
+// callbacks as SmallFn too (tests/rtl/test_rtl_alloc.cpp), so both
+// simulators share one callable type.
 //
 // Move-only: the scheduler slab moves slots on growth, and captured Packets
 // are themselves move-only-cheap.  A moved-from SmallFn is empty.

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,6 +51,11 @@ class Bus {
   std::uint64_t read_uint() const { return read().to_uint(); }
   void write(const LogicVector& v, SimTime delay = SimTime::zero()) const {
     sim_->schedule_write(id_, v, delay);
+  }
+  /// Hands a temporary's storage to the kernel instead of copying it (one
+  /// heap block saved per write of a bus wider than 64 bits).
+  void write(LogicVector&& v, SimTime delay = SimTime::zero()) const {
+    sim_->schedule_write(id_, std::move(v), delay);
   }
   void write_uint(std::uint64_t v, SimTime delay = SimTime::zero()) const {
     sim_->schedule_write(id_, LogicVector::from_uint(v, width()), delay);
@@ -114,8 +118,7 @@ class Module {
 
   /// Registers a process sensitive to `sensitivity`.
   ProcessId process(const std::string& local,
-                    std::vector<SignalId> sensitivity,
-                    std::function<void()> fn) {
+                    std::vector<SignalId> sensitivity, SmallFn fn) {
     return sim_->add_process(name_ + "." + local, std::move(sensitivity),
                              std::move(fn));
   }
@@ -158,12 +161,15 @@ class Module {
   /// The sensitivity entry is edge-restricted so the kernel never wakes the
   /// process on the falling edge; the rose() guard stays for the
   /// initialization run, where every process executes once unconditionally.
-  ProcessId clocked(const std::string& local, const Signal& clk,
-                    std::function<void()> fn) {
+  /// `fn` is captured by value next to the clock handle, so a small body is
+  /// called without a second type-erased hop.
+  template <typename F>
+  ProcessId clocked(const std::string& local, const Signal& clk, F fn) {
     Signal c = clk;
-    const ProcessId pid = process(local, {clk.id()}, [c, fn = std::move(fn)] {
-      if (c.rose()) fn();
-    });
+    const ProcessId pid =
+        process(local, {clk.id()}, [c, fn = std::move(fn)]() mutable {
+          if (c.rose()) fn();
+        });
     sim_->restrict_sensitivity_to_rising(pid, clk.id());
     return pid;
   }

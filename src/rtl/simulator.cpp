@@ -8,11 +8,6 @@
 namespace castanet::rtl {
 
 namespace {
-/// Min-heap on time (std::*_heap build max-heaps, so order by `>`).
-constexpr auto kHeapCmp = [](const auto& a, const auto& b) {
-  return a.t > b.t;
-};
-
 /// Process-wide elaboration hook (see set_elaboration_hook).  Written once
 /// at program setup, read from initialize(); not synchronized — install it
 /// before any simulator elaborates.
@@ -38,7 +33,7 @@ SignalId Simulator::create_signal(std::string name, std::size_t width,
 
 ProcessId Simulator::add_process(std::string name,
                                  std::vector<SignalId> sensitivity,
-                                 std::function<void()> fn) {
+                                 SmallFn fn) {
   if (processes_.empty()) {
     processes_.push_back({"<external>", nullptr});  // reserve id 0
   }
@@ -228,21 +223,25 @@ void Simulator::set_value_for_analysis(SignalId s, const LogicVector& v) {
 }
 
 Simulator::TimeBucket& Simulator::bucket_for(SimTime when) {
-  const auto [it, inserted] = bucket_index_.try_emplace(when.ps(), 0);
-  if (inserted) {
-    std::uint32_t id;
-    if (!free_buckets_.empty()) {
-      id = free_buckets_.back();
-      free_buckets_.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(buckets_.size());
-      buckets_.emplace_back();
-    }
-    it->second = id;
-    heap_.push_back({when, id});
-    std::push_heap(heap_.begin(), heap_.end(), kHeapCmp);
+  // pending_ is sorted latest-first; walk from the earliest end to the
+  // bucket for `when` or to the slot a new one goes in.
+  std::size_t pos = pending_.size();
+  for (; pos > 0; --pos) {
+    TimeBucket& b = buckets_[pending_[pos - 1]];
+    if (b.t == when) return b;
+    if (b.t > when) break;
   }
-  return buckets_[it->second];
+  std::uint32_t id;
+  if (!free_buckets_.empty()) {
+    id = free_buckets_.back();
+    free_buckets_.pop_back();
+  } else {
+    id = static_cast<std::uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+  }
+  buckets_[id].t = when;
+  pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(pos), id);
+  return buckets_[id];
 }
 
 void Simulator::schedule_write(SignalId s, LogicVector v, SimTime delay) {
@@ -258,16 +257,24 @@ void Simulator::schedule_write(SignalId s, LogicVector v, SimTime delay) {
     probe_writes_.push_back({s, std::move(v)});
     return;
   }
-  Transaction t{s, current_process_, std::move(v)};
-  if (delay == SimTime::zero()) {
-    next_delta_.push_back(std::move(t));
-  } else {
-    bucket_for(now_ + delay).txns.push_back(std::move(t));
-  }
+  std::vector<Transaction>& queue =
+      delay == SimTime::zero() ? next_delta_ : bucket_for(now_ + delay).txns;
+  queue.emplace_back(s, current_process_, std::move(v));
 }
 
 void Simulator::schedule_write(SignalId s, Logic v, SimTime delay) {
-  schedule_write(s, scalar(v), delay);
+  if (delay != SimTime::zero() || probing_) {
+    schedule_write(s, scalar(v), delay);
+    return;
+  }
+  // Zero-delay fast path (every clocked output write): build the 1-bit
+  // value in place in the next delta, with no temporary to move twice.
+  require(s < signals_.size(), "schedule_write: unknown signal");
+  if (signals_[s].width != 1) {
+    throw LogicError("schedule_write: width mismatch on signal '" +
+                     signals_[s].name + "'");
+  }
+  next_delta_.emplace_back(s, current_process_, v);
 }
 
 bool Simulator::event(SignalId s) const {
@@ -293,7 +300,7 @@ bool Simulator::fell(SignalId s) const {
   return !to_bool(st.effective.bit(0), true) && to_bool(st.previous.bit(0));
 }
 
-void Simulator::schedule_callback(SimTime delay, std::function<void()> fn) {
+void Simulator::schedule_callback(SimTime delay, SmallFn fn) {
   require(delay >= SimTime::zero(), "schedule_callback: negative delay");
   bucket_for(now_ + delay).callbacks.push_back(std::move(fn));
 }
@@ -548,7 +555,7 @@ void Simulator::initialize() {
 
 SimTime Simulator::next_activity() const {
   if (!next_delta_.empty()) return now_;
-  return heap_.empty() ? SimTime::max() : heap_.front().t;
+  return pending_.empty() ? SimTime::max() : buckets_[pending_.back()].t;
 }
 
 bool Simulator::quiescent() const {
@@ -563,11 +570,9 @@ bool Simulator::step_time() {
   ++stats_.time_points;
   batch_scratch_.clear();
   cb_scratch_.clear();
-  if (!heap_.empty() && heap_.front().t == t) {
-    const std::uint32_t id = heap_.front().bucket;
-    std::pop_heap(heap_.begin(), heap_.end(), kHeapCmp);
-    heap_.pop_back();
-    bucket_index_.erase(t.ps());
+  if (!pending_.empty() && buckets_[pending_.back()].t == t) {
+    const std::uint32_t id = pending_.back();
+    pending_.pop_back();
     TimeBucket& b = buckets_[id];
     batch_scratch_.swap(b.txns);
     cb_scratch_.swap(b.callbacks);

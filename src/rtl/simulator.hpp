@@ -8,11 +8,20 @@
 // time.  Multiply-driven signals are resolved per IEEE 1164, which the test
 // board needs for bidirectional bus ports (§3.3).
 //
-// Scheduling structures are built for the hot path: future transactions and
-// callbacks live in per-time-point buckets indexed by a binary min-heap of
-// time points (instead of a balanced tree), bucket storage is pooled and
-// recycled, and runnable processes are deduplicated with a delta-generation
-// stamp per process instead of sort+unique scans.
+// Scheduling structures are built for the traffic the kernel serves.  Future
+// transactions and callbacks live in per-time-point buckets, and the pending
+// time points are a short vector of pooled bucket ids sorted latest-first,
+// so the earliest sits at back(): step_time pops it in O(1) and a schedule
+// scans from the back for its time or insertion point.  On the benchmark's
+// co-verification workloads the list holds about one entry on average and
+// never more than two — the ClockGen half-period callback plus, now and
+// then, one co-simulation entity delivery — so the scan needs no heap or
+// hash index (DESIGN.md §7.2), and a popped bucket keeps its vectors'
+// capacity on a free list.  Processes and callbacks are stored as SmallFn
+// (the network kernel's callable), zero-delay scalar writes are emplaced
+// straight into the next delta, and runnable processes are deduplicated
+// with a delta-generation stamp per process instead of sort+unique scans:
+// once warm, a clock cycle allocates nothing.
 //
 // The kernel counts transactions, events, process activations and delta
 // cycles; experiment E7 uses these to reproduce the paper's claim that the
@@ -23,10 +32,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/telemetry.hpp"
+#include "src/dsim/small_fn.hpp"
 #include "src/dsim/time.hpp"
 #include "src/rtl/logic_vector.hpp"
 
@@ -102,7 +111,7 @@ class Simulator {
   SignalId create_signal(std::string name, std::size_t width,
                          Logic init = Logic::U);
   ProcessId add_process(std::string name, std::vector<SignalId> sensitivity,
-                        std::function<void()> fn);
+                        SmallFn fn);
   /// Restricts an existing sensitivity entry (process `p` on width-1 signal
   /// `s`) to rising edges: the kernel wakes `p` only when a commit takes bit
   /// 0 from not-'1'/'H' to '1'/'H' (rose() semantics).  Clocked-process
@@ -267,7 +276,7 @@ class Simulator {
   bool fell(SignalId s) const;
 
   // --- generic scheduled callbacks (clock generators, stimuli) ----------
-  void schedule_callback(SimTime delay, std::function<void()> fn);
+  void schedule_callback(SimTime delay, SmallFn fn);
 
   // --- execution --------------------------------------------------------
   SimTime now() const { return now_; }
@@ -322,9 +331,14 @@ class Simulator {
   };
   struct ProcessState {
     std::string name;
-    std::function<void()> fn;
+    SmallFn fn;
   };
   struct Transaction {
+    Transaction(SignalId s, ProcessId p, LogicVector&& v)
+        : sig(s), pid(p), value(std::move(v)) {}
+    /// Builds a width-1 value in place (the zero-delay scalar fast path).
+    Transaction(SignalId s, ProcessId p, Logic v)
+        : sig(s), pid(p), value(1, v) {}
     SignalId sig;
     ProcessId pid;
     LogicVector value;
@@ -333,12 +347,9 @@ class Simulator {
   /// pooled: a popped bucket's index goes on the free list and its vectors
   /// keep their capacity for reuse.
   struct TimeBucket {
-    std::vector<Transaction> txns;
-    std::vector<std::function<void()>> callbacks;
-  };
-  struct HeapEntry {
     SimTime t;
-    std::uint32_t bucket;
+    std::vector<Transaction> txns;
+    std::vector<SmallFn> callbacks;
   };
 
   TimeBucket& bucket_for(SimTime when);
@@ -386,12 +397,12 @@ class Simulator {
   std::vector<ProcessState> processes_;  // index 0 reserved (external)
   std::vector<Transaction> next_delta_;
 
-  // Future-activity queue: binary min-heap of distinct time points, each
-  // pointing at a pooled bucket; bucket_index_ dedups same-time schedules.
-  std::vector<HeapEntry> heap_;
+  // Future-activity queue: ids of pooled buckets, one per distinct time
+  // point, sorted by time with the earliest at back() (see the file
+  // comment for why a scanned vector suffices).
+  std::vector<std::uint32_t> pending_;
   std::vector<TimeBucket> buckets_;
   std::vector<std::uint32_t> free_buckets_;
-  std::unordered_map<std::int64_t, std::uint32_t> bucket_index_;
 
   // Per-delta runnable set, deduplicated by generation stamp: a process is
   // enqueued at most once per delta regardless of how many of its
@@ -416,7 +427,7 @@ class Simulator {
 
   // Scratch buffers recycled across time points.
   std::vector<Transaction> batch_scratch_;
-  std::vector<std::function<void()>> cb_scratch_;
+  std::vector<SmallFn> cb_scratch_;
   /// Signals whose driver slots were updated this delta (first-touch
   /// order); resolved once each by commit() after all stages.
   std::vector<SignalId> dirty_signals_;

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "src/core/rng.hpp"
-#include "src/dsim/heap_scheduler.hpp"
 #include "src/dsim/scheduler.hpp"
+#include "tests/support/heap_scheduler.hpp"
 
 namespace castanet {
 namespace {

@@ -1,4 +1,4 @@
-#include "src/dsim/heap_scheduler.hpp"
+#include "tests/support/heap_scheduler.hpp"
 
 #include "src/core/error.hpp"
 #include "src/dsim/scheduler.hpp"

@@ -10,8 +10,9 @@
 // grows as log N with the pending-event count where the calendar queue stays
 // flat.
 //
-// Not used on any production path — netsim, traffic, signaling and the sync
-// layer all run on dsim::Scheduler.
+// Test and bench support only: it is compiled into test_core and
+// bench_e9_sched_scale, never into the library, where netsim, traffic,
+// signaling and the sync layer all run on dsim::Scheduler.
 #pragma once
 
 #include <cstdint>
