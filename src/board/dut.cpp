@@ -9,11 +9,15 @@ RtlDutAdapter::~RtlDutAdapter() = default;
 
 void RtlDutAdapter::add_input(rtl::Bus bus) {
   require(bus.valid(), "RtlDutAdapter::add_input: invalid bus");
+  require(bus.width() <= 64,
+          "RtlDutAdapter::add_input: port wider than 64 bits");
   inputs_.push_back(bus);
 }
 
 void RtlDutAdapter::add_output(rtl::Bus bus) {
   require(bus.valid(), "RtlDutAdapter::add_output: invalid bus");
+  require(bus.width() <= 64,
+          "RtlDutAdapter::add_output: port wider than 64 bits");
   outputs_.push_back(bus);
 }
 

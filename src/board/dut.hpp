@@ -58,9 +58,12 @@ class RtlDutAdapter : public BehavioralDut {
   /// Clock/reset signals the adapter toggles; create and pass in.
   void set_clock(rtl::Signal clk) { clk_ = clk; }
   void set_reset(rtl::Signal rst) { rst_ = rst; }
-  /// Registers input port i (order of calls defines the index).
+  /// Registers input port i (order of calls defines the index).  A port
+  /// carries one std::uint64_t per cycle, so it may be at most 64 bits
+  /// wide; a wider bus is rejected here with LogicError.
   void add_input(rtl::Bus bus);
-  /// Registers output port o.  A port reading all-Z reports enable=false.
+  /// Registers output port o, at most 64 bits wide like an input.  A port
+  /// reading all-Z reports enable=false.
   void add_output(rtl::Bus bus);
 
   /// Rated maximum clock of the (virtual) silicon.  When the board steps the

@@ -1,6 +1,7 @@
 #include "src/castanet/wire.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "src/core/error.hpp"
 
@@ -88,6 +89,17 @@ namespace {
 constexpr std::uint8_t kHasCell = 0x01;
 constexpr std::uint8_t kTimeUpdateOnly = 0x02;
 
+/// Rejects an element count the rest of the frame cannot hold, given that
+/// each element encodes to at least `min_bytes`.  Runs before any reserve,
+/// so a corrupt count ends in ProtocolError, not in a huge allocation.
+void check_count(const Reader& r, std::uint32_t count, std::size_t min_bytes,
+                 const char* what) {
+  if (count > r.remaining() / min_bytes) {
+    throw ProtocolError(std::string("wire: ") + what +
+                        " count exceeds the frame length");
+  }
+}
+
 }  // namespace
 
 void encode_message(Writer& w, const TimedMessage& m) {
@@ -136,6 +148,7 @@ TimedMessage decode_message(Reader& r) {
     m.cell = c;
   }
   const std::uint32_t nwords = r.u32();
+  check_count(r, nwords, sizeof(std::uint64_t), "word");
   m.words.reserve(nwords);
   for (std::uint32_t i = 0; i < nwords; ++i) m.words.push_back(r.u64());
   return m;
@@ -150,6 +163,11 @@ TimedMessage decode_message(const std::vector<std::uint8_t>& frame) {
 
 namespace {
 constexpr std::uint8_t kSnapshotVersion = 1;
+/// Smallest encoded metric row: empty name (u32 length), kind (u8), count
+/// (u64) and four f64s.
+constexpr std::size_t kMinRowBytes = 4 + 1 + 8 + 4 * 8;
+/// One histogram bucket: index (u32) and count (u64).
+constexpr std::size_t kBucketBytes = 4 + 8;
 }  // namespace
 
 void encode_snapshot(Writer& w, const telemetry::MetricsSnapshot& snap) {
@@ -191,6 +209,7 @@ telemetry::MetricsSnapshot decode_snapshot(Reader& r) {
   }
   telemetry::MetricsSnapshot snap;
   const std::uint32_t nrows = r.u32();
+  check_count(r, nrows, kMinRowBytes, "metric row");
   snap.rows.reserve(nrows);
   for (std::uint32_t i = 0; i < nrows; ++i) {
     telemetry::MetricRow row;
@@ -209,6 +228,7 @@ telemetry::MetricsSnapshot decode_snapshot(Reader& r) {
     if (row.kind == telemetry::MetricRow::Kind::kHistogram) {
       const std::uint64_t zero = r.u64();
       const std::uint32_t nbuckets = r.u32();
+      check_count(r, nbuckets, kBucketBytes, "histogram bucket");
       std::vector<std::pair<int, std::uint64_t>> buckets;
       buckets.reserve(nbuckets);
       for (std::uint32_t b = 0; b < nbuckets; ++b) {

@@ -241,7 +241,29 @@ class Parser {
     }
   }
 
+  /// Parsing recurses once per container level; past this depth the input
+  /// is rejected instead of exhausting the stack.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  /// Counts one container level for as long as it is being parsed.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) {
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                " levels");
+      }
+    }
+    ~Nesting() { --p_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   Value parse_object() {
+    const Nesting nesting(*this);
     expect('{');
     Object obj;
     if (peek() == '}') {
@@ -261,6 +283,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const Nesting nesting(*this);
     expect('[');
     Array arr;
     if (peek() == ']') {
@@ -357,6 +380,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

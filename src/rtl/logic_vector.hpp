@@ -106,6 +106,15 @@ class LogicVector {
     plane(2)[w] = 0;
     plane(3)[w] = 0;
   }
+  /// True when the vector equals from_uint(value, width()) — every bit a
+  /// strong '0'/'1' spelling the low width() bits of `value` — compared
+  /// in place.  Width must be <= 64.
+  bool equals_uint(std::uint64_t value) const {
+    require(width_ <= 64, "LogicVector::equals_uint: width > 64");
+    const std::uint64_t m = width_ == 0 ? 0 : tail_mask();
+    return sbo_[0] == (value & m) && sbo_[1] == m && sbo_[2] == 0 &&
+           sbo_[3] == 0;
+  }
   /// True when every bit is 0/1/L/H.
   bool is_defined() const;
   /// True if any bit is U or X.

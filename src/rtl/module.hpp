@@ -58,7 +58,7 @@ class Bus {
     sim_->schedule_write(id_, std::move(v), delay);
   }
   void write_uint(std::uint64_t v, SimTime delay = SimTime::zero()) const {
-    sim_->schedule_write(id_, LogicVector::from_uint(v, width()), delay);
+    sim_->schedule_write_uint(id_, v, delay);
   }
   /// Releases this process's contribution to a resolved bus (drives all-Z).
   void release(SimTime delay = SimTime::zero()) const {

@@ -257,24 +257,62 @@ void Simulator::schedule_write(SignalId s, LogicVector v, SimTime delay) {
     probe_writes_.push_back({s, std::move(v)});
     return;
   }
-  std::vector<Transaction>& queue =
-      delay == SimTime::zero() ? next_delta_ : bucket_for(now_ + delay).txns;
-  queue.emplace_back(s, current_process_, std::move(v));
+  if (delay != SimTime::zero()) {
+    bucket_for(now_ + delay).txns.emplace_back(s, current_process_,
+                                               std::move(v));
+  } else if (defer_zero_delay()) {
+    next_delta_.emplace_back(s, current_process_, std::move(v));
+  } else {
+    delta_requested_ = true;
+    stage(s, current_process_, std::move(v), delta_serial_ + 1);
+  }
 }
 
 void Simulator::schedule_write(SignalId s, Logic v, SimTime delay) {
-  if (delay != SimTime::zero() || probing_) {
+  if (delay != SimTime::zero() || probing_ || defer_zero_delay()) {
     schedule_write(s, scalar(v), delay);
     return;
   }
-  // Zero-delay fast path (every clocked output write): build the 1-bit
-  // value in place in the next delta, with no temporary to move twice.
+  // Zero-delay fast path (every clocked output write): compare and set bit
+  // 0 of the driver slot in place.
   require(s < signals_.size(), "schedule_write: unknown signal");
-  if (signals_[s].width != 1) {
-    throw LogicError("schedule_write: width mismatch on signal '" +
-                     signals_[s].name + "'");
+  SignalState& st = signals_[s];
+  if (st.width != 1) {
+    throw LogicError("schedule_write: width mismatch on signal '" + st.name +
+                     "'");
   }
-  next_delta_.emplace_back(s, current_process_, v);
+  delta_requested_ = true;
+  DriverSlot* d = find_driver(st, current_process_);
+  if (d == nullptr) {
+    stage(s, current_process_, scalar(v), delta_serial_ + 1);
+    return;
+  }
+  ++stats_.transactions;
+  if (d->value.bit(0) == v) return;
+  d->value.set_bit(0, v);
+  mark_staged(s, delta_serial_ + 1);
+}
+
+void Simulator::schedule_write_uint(SignalId s, std::uint64_t v,
+                                    SimTime delay) {
+  require(s < signals_.size(), "schedule_write_uint: unknown signal");
+  SignalState& st = signals_[s];
+  if (delay != SimTime::zero() || probing_ || defer_zero_delay()) {
+    schedule_write(s, LogicVector::from_uint(v, st.width), delay);
+    return;
+  }
+  require(st.width <= 64, "schedule_write_uint: signal wider than 64 bits");
+  delta_requested_ = true;
+  DriverSlot* d = find_driver(st, current_process_);
+  if (d == nullptr) {
+    stage(s, current_process_, LogicVector::from_uint(v, st.width),
+          delta_serial_ + 1);
+    return;
+  }
+  ++stats_.transactions;
+  if (d->value.equals_uint(v)) return;
+  d->value.set_value_word(0, v);
+  mark_staged(s, delta_serial_ + 1);
 }
 
 bool Simulator::event(SignalId s) const {
@@ -315,30 +353,60 @@ void Simulator::enqueue_runnable(ProcessId p) {
   runnable_.push_back(p);
 }
 
-void Simulator::stage(Transaction& t) {
-  SignalState& st = signals_[t.sig];
+Simulator::DriverSlot* Simulator::find_driver(SignalState& st,
+                                              ProcessId pid) {
+  for (DriverSlot& d : st.drivers) {
+    if (d.pid == pid) return &d;
+  }
+  return nullptr;
+}
+
+void Simulator::stage(SignalId sig, ProcessId pid, LogicVector&& v,
+                      std::uint64_t serial) {
+  SignalState& st = signals_[sig];
   ++stats_.transactions;
-  auto it = std::find_if(st.drivers.begin(), st.drivers.end(),
-                         [&](const DriverSlot& d) { return d.pid == t.pid; });
-  if (it == st.drivers.end()) {
-    st.drivers.push_back({t.pid, std::move(t.value)});
+  DriverSlot* d = find_driver(st, pid);
+  if (d == nullptr) {
+    st.drivers.push_back({pid, std::move(v)});
     // A first-time driver slot is a new dependency edge the level schedule
     // has not seen; re-levelize before the next time point.
     schedule_dirty_ = true;
-  } else if (it->value != t.value) {
-    it->value = std::move(t.value);
+  } else if (d->value != v) {
+    d->value = std::move(v);
   } else {
     // Identical re-stage (modules re-assert unchanged outputs every clock,
     // VHDL style): no resolution input changed, so the resolved value can't
     // have either — skip dirtying the signal and the whole commit pass.
-    // If another driver of this net did change this delta, that driver's
-    // stage marked it dirty and commit still sees every contribution.
+    // If another driver of this net did change, that driver's stage marked
+    // it dirty and commit still sees every contribution.
     return;
   }
-  if (st.staged_serial != delta_serial_) {
-    st.staged_serial = delta_serial_;
-    dirty_signals_.push_back(t.sig);
+  mark_staged(sig, serial);
+}
+
+void Simulator::mark_staged(SignalId sig, std::uint64_t serial) {
+  SignalState& st = signals_[sig];
+  if (st.staged_serial != serial) {
+    st.staged_serial = serial;
+    dirty_signals_.push_back(sig);
   }
+}
+
+void Simulator::begin_delta(std::vector<Transaction>& batch) {
+  ++delta_serial_;
+  ++stats_.delta_cycles;
+  delta_requested_ = false;
+  runnable_.clear();
+  for (Transaction& t : batch) {
+    stage(t.sig, t.pid, std::move(t.value), delta_serial_);
+  }
+  batch.clear();
+  // An observer's write belongs to the next delta; deferring it also keeps
+  // dirty_signals_ untouched while it is walked.
+  defer_writes_ = true;
+  for (SignalId s : dirty_signals_) commit(s);
+  defer_writes_ = false;
+  dirty_signals_.clear();
 }
 
 void Simulator::commit(SignalId sig) {
@@ -397,16 +465,10 @@ void Simulator::execute_runnable() {
 void Simulator::run_delta_loop(std::vector<Transaction>& batch,
                                const std::vector<ProcessId>& preactivated) {
   bool first = true;
-  while (!batch.empty() || !next_delta_.empty() ||
+  while (!batch.empty() || !next_delta_.empty() || delta_requested_ ||
          (first && !preactivated.empty())) {
     if (batch.empty()) batch.swap(next_delta_);
-    ++delta_serial_;
-    ++stats_.delta_cycles;
-    runnable_.clear();
-    for (Transaction& t : batch) stage(t);
-    batch.clear();
-    for (SignalId s : dirty_signals_) commit(s);
-    dirty_signals_.clear();
+    begin_delta(batch);
     if (first) {
       for (ProcessId p : preactivated) enqueue_runnable(p);
       first = false;
@@ -453,14 +515,8 @@ void Simulator::run_time_point(std::vector<Transaction>& batch) {
   // its scheduling class.  This is the "sequential-logic synchronization"
   // half of the CCSS split.
   if (batch.empty()) batch.swap(next_delta_);
-  if (batch.empty()) return;  // callbacks scheduled nothing
-  ++delta_serial_;
-  ++stats_.delta_cycles;
-  runnable_.clear();
-  for (Transaction& t : batch) stage(t);
-  batch.clear();
-  for (SignalId s : dirty_signals_) commit(s);
-  dirty_signals_.clear();
+  if (batch.empty() && !delta_requested_) return;  // nothing was written
+  begin_delta(batch);
   execute_runnable();
 
   // Settling waves — the "combinational-logic computing" half: drain the
@@ -474,15 +530,9 @@ void Simulator::run_time_point(std::vector<Transaction>& batch) {
   std::uint32_t next_rank = 0;
   std::size_t pending = 0;
   while (true) {
-    if (!next_delta_.empty()) {
-      ++delta_serial_;
-      ++stats_.delta_cycles;
-      runnable_.clear();
+    if (delta_requested_ || !next_delta_.empty()) {
       batch.swap(next_delta_);
-      for (Transaction& t : batch) stage(t);
-      batch.clear();
-      for (SignalId s : dirty_signals_) commit(s);
-      dirty_signals_.clear();
+      begin_delta(batch);
       for (ProcessId p : runnable_) {
         if (proc_kind_[p] ==
             static_cast<std::uint8_t>(ProcKind::kCombinational)) {
@@ -554,7 +604,7 @@ void Simulator::initialize() {
 }
 
 SimTime Simulator::next_activity() const {
-  if (!next_delta_.empty()) return now_;
+  if (delta_requested_ || !next_delta_.empty()) return now_;
   return pending_.empty() ? SimTime::max() : buckets_[pending_.back()].t;
 }
 
@@ -579,8 +629,11 @@ bool Simulator::step_time() {
     free_buckets_.push_back(id);
   }
   // Callbacks first: stimulus generators may schedule zero-delay writes that
-  // then land in the first delta of this time point.
+  // then land in the first delta of this time point — or, when the bucket
+  // holds delayed transactions, which take that delta, in the second.
+  defer_writes_ = !batch_scratch_.empty();
   for (auto& fn : cb_scratch_) fn();
+  defer_writes_ = false;
   run_time_point(batch_scratch_);
   return true;
 }

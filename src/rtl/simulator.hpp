@@ -18,10 +18,21 @@
 // then, one co-simulation entity delivery — so the scan needs no heap or
 // hash index (DESIGN.md §7.2), and a popped bucket keeps its vectors'
 // capacity on a free list.  Processes and callbacks are stored as SmallFn
-// (the network kernel's callable), zero-delay scalar writes are emplaced
-// straight into the next delta, and runnable processes are deduplicated
+// (the network kernel's callable), and runnable processes are deduplicated
 // with a delta-generation stamp per process instead of sort+unique scans:
 // once warm, a clock cycle allocates nothing.
+//
+// A zero-delay write — the kernel's unit of work — is staged at write time:
+// the value goes straight into the writer's driver slot and the signal is
+// queued, once, for the next delta's commit (DESIGN.md §7.5).  An identical
+// re-write, which modules issue every clock for unchanged outputs, costs one
+// compare.  Two rules keep counters and delta semantics those of a queued
+// transaction: a re-write still requests the (possibly empty) next delta,
+// and while a popped time point's delayed transactions wait for their own
+// delta — callbacks run ahead of them — zero-delay writes, and every write
+// behind one, travel as Transactions through next_delta_ so they commit one
+// delta later in first-touch order.  Writes issued from a change observer
+// take the same route, since the delta they were issued in is mid-commit.
 //
 // The kernel counts transactions, events, process activations and delta
 // cycles; experiment E7 uses these to reproduce the paper's claim that the
@@ -262,11 +273,18 @@ class Simulator {
   }
   /// Schedules a transaction on `s` for now+delay, driven by the currently
   /// executing process (or kExternalProcess outside any process).  Transport
-  /// delay semantics; delay 0 lands in the next delta cycle.
+  /// delay semantics; delay 0 lands in the next delta cycle (staged into the
+  /// driver slot at once, see the file comment).
   void schedule_write(SignalId s, LogicVector v,
                       SimTime delay = SimTime::zero());
-  /// Convenience for scalar signals.
+  /// Convenience for scalar signals; the zero-delay case compares and sets
+  /// bit 0 of the driver slot in place, with no LogicVector built.
   void schedule_write(SignalId s, Logic v, SimTime delay = SimTime::zero());
+  /// Writes the low width(s) bits of `v` as strong '0'/'1' (signals up to
+  /// 64 bits wide); the zero-delay case compares and overwrites the driver
+  /// slot's words in place, with no LogicVector built.
+  void schedule_write_uint(SignalId s, std::uint64_t v,
+                           SimTime delay = SimTime::zero());
 
   /// True if `s` changed value in the current delta cycle.
   bool event(SignalId s) const;
@@ -326,7 +344,7 @@ class Simulator {
     std::vector<ProcessId> wake_watch;
     std::vector<ProcessId> readers;  ///< read-tracking harvest (lint only)
     std::uint64_t changed_serial = 0;  ///< delta serial of last change
-    std::uint64_t staged_serial = 0;   ///< delta serial of last driver update
+    std::uint64_t staged_serial = 0;   ///< delta a driver update commits in
     LogicVector previous;              ///< value before last change
   };
   struct ProcessState {
@@ -336,9 +354,6 @@ class Simulator {
   struct Transaction {
     Transaction(SignalId s, ProcessId p, LogicVector&& v)
         : sig(s), pid(p), value(std::move(v)) {}
-    /// Builds a width-1 value in place (the zero-delay scalar fast path).
-    Transaction(SignalId s, ProcessId p, Logic v)
-        : sig(s), pid(p), value(1, v) {}
     SignalId sig;
     ProcessId pid;
     LogicVector value;
@@ -354,11 +369,26 @@ class Simulator {
 
   TimeBucket& bucket_for(SimTime when);
   void enqueue_runnable(ProcessId p);
-  /// Apply phase, first half: moves the transaction's value into its driver
-  /// slot and marks the signal dirty for this delta.  Resolution is
-  /// deferred to commit() so N same-delta transactions on one signal cost
-  /// one resolution, not N.
-  void stage(Transaction& t);
+  /// True while zero-delay writes must travel through next_delta_ instead
+  /// of being staged at write time (the two ordering rules of the file
+  /// comment).
+  bool defer_zero_delay() const {
+    return defer_writes_ || !next_delta_.empty();
+  }
+  /// `pid`'s driver slot on `st`, or nullptr before its first write.
+  static DriverSlot* find_driver(SignalState& st, ProcessId pid);
+  /// Apply phase, first half: moves `v` into `pid`'s driver slot on `sig`
+  /// (creating the slot on a first write) and queues the signal for the
+  /// commit of delta `serial`; an identical value only counts the
+  /// transaction.  Resolution is deferred to commit() so N same-delta
+  /// writes on one signal cost one resolution, not N.
+  void stage(SignalId sig, ProcessId pid, LogicVector&& v,
+             std::uint64_t serial);
+  /// Queues `sig` for the commit of delta `serial` unless already queued.
+  void mark_staged(SignalId sig, std::uint64_t serial);
+  /// Opens a delta cycle: stages `batch` (emptying it), then commits every
+  /// signal staged for this delta.
+  void begin_delta(std::vector<Transaction>& batch);
   /// Apply phase, second half: resolves a dirty signal's driver
   /// contributions once (in place, word-at-a-time), and only if the
   /// resolved planes differ from the current value commits the change and
@@ -395,7 +425,16 @@ class Simulator {
 
   std::vector<SignalState> signals_;
   std::vector<ProcessState> processes_;  // index 0 reserved (external)
+  /// Zero-delay writes that could not be staged at write time (see
+  /// defer_zero_delay); empty in the common case.
   std::vector<Transaction> next_delta_;
+  /// A zero-delay write was staged (or re-asserted) at write time: the next
+  /// delta must run even if nothing is dirty, as it would for a queued
+  /// transaction.
+  bool delta_requested_ = false;
+  /// Set while callbacks run ahead of a popped bucket's delayed
+  /// transactions and while a delta commits (see defer_zero_delay).
+  bool defer_writes_ = false;
 
   // Future-activity queue: ids of pooled buckets, one per distinct time
   // point, sorted by time with the earliest at back() (see the file
@@ -428,8 +467,9 @@ class Simulator {
   // Scratch buffers recycled across time points.
   std::vector<Transaction> batch_scratch_;
   std::vector<SmallFn> cb_scratch_;
-  /// Signals whose driver slots were updated this delta (first-touch
-  /// order); resolved once each by commit() after all stages.
+  /// Signals whose driver slots were updated for the next commit
+  /// (first-touch order, deduplicated by SignalState::staged_serial);
+  /// resolved once each by commit().
   std::vector<SignalId> dirty_signals_;
   /// Multi-driver resolution accumulator, reused across commits so the
   /// steady state allocates nothing.

@@ -130,5 +130,22 @@ TEST(RtlDutAdapter, InputCountMismatchRejected) {
   EXPECT_THROW(dut.adapter.cycle({1}, {true}, out, en), castanet::LogicError);
 }
 
+TEST(RtlDutAdapter, PortsWiderThan64BitsRejectedAtRegistration) {
+  // A port value travels as one std::uint64_t: a 65-bit input could not be
+  // applied, and reading a 65-bit output would shift by 64.
+  RtlDutAdapter adapter;
+  auto& sim = adapter.sim();
+  const rtl::Bus wide(&sim, sim.create_signal("wide", 65, rtl::Logic::L0));
+  const rtl::Bus word(&sim, sim.create_signal("word", 64, rtl::Logic::L0));
+  EXPECT_THROW(adapter.add_input(wide), castanet::LogicError);
+  EXPECT_THROW(adapter.add_output(wide), castanet::LogicError);
+  EXPECT_EQ(adapter.num_inputs(), 0u);
+  EXPECT_EQ(adapter.num_outputs(), 0u);
+  adapter.add_input(word);  // exactly 64 bits is the widest port
+  adapter.add_output(word);
+  EXPECT_EQ(adapter.num_inputs(), 1u);
+  EXPECT_EQ(adapter.num_outputs(), 1u);
+}
+
 }  // namespace
 }  // namespace castanet::board

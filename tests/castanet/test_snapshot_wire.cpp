@@ -113,5 +113,39 @@ TEST(SnapshotWire, RejectsBadVersionAndBadKind) {
   EXPECT_THROW(decode_snapshot(truncated), ProtocolError);
 }
 
+TEST(SnapshotWire, CountsBeyondFrameRejectedBeforeAllocating) {
+  // Row and bucket counts are checked against the bytes left before any
+  // reserve: a corrupt count ends in ProtocolError, not bad_alloc or a
+  // multi-GiB reservation.
+  MetricsSnapshot snap;
+  MetricRow hist;
+  hist.name = "h";
+  hist.kind = Kind::kHistogram;
+  hist.hist.record(1e-6);
+  hist.hist.record(0.5);
+  hist.count = hist.hist.count();
+  hist.sum = hist.hist.sum();
+  hist.min = hist.hist.min();
+  hist.max = hist.hist.max();
+  hist.last = kNaN;
+  snap.rows.push_back(hist);
+  const std::vector<std::uint8_t> frame = encode_snapshot(snap);
+  ASSERT_EQ(decode_snapshot(frame).rows.size(), 1u);
+  // version u8, then the row count; the bucket count follows the row's
+  // name (u32 length + 1 byte), kind, count, four f64s and zero count.
+  const std::size_t row_count_at = 1;
+  const std::size_t bucket_count_at = 1 + 4 + (4 + 1) + 1 + 8 + 4 * 8 + 8;
+  for (const std::size_t at : {row_count_at, bucket_count_at}) {
+    for (const std::uint32_t count : {0xFFFFFFFFu, 0x10000000u, 3u}) {
+      std::vector<std::uint8_t> bad = frame;
+      for (int i = 0; i < 4; ++i) {
+        bad[at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+      }
+      EXPECT_THROW(decode_snapshot(bad), ProtocolError)
+          << "offset=" << at << " count=" << count;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace castanet::cosim::wire

@@ -112,6 +112,24 @@ TEST(Wire, UnknownTagBitsRejected) {
   EXPECT_THROW(decode_message(bytes), ProtocolError);
 }
 
+TEST(Wire, WordCountBeyondFrameRejectedBeforeAllocating) {
+  // A 17-byte frame: type, timestamp, tag and a word count with no words.
+  // The count is checked against the bytes left before anything is
+  // reserved, so even 0xFFFFFFFF ends in ProtocolError, not bad_alloc.
+  const auto empty = encode_message(make_word_message(1, SimTime::zero(), {}));
+  ASSERT_EQ(empty.size(), 17u);
+  const auto two = encode_message(make_word_message(1, SimTime::zero(), {5, 6}));
+  for (const std::uint32_t count : {0xFFFFFFFFu, 0x10000000u, 3u}) {
+    for (std::vector<std::uint8_t> bytes : {empty, two}) {
+      for (int i = 0; i < 4; ++i) {
+        bytes[13 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+      }
+      EXPECT_THROW(decode_message(bytes), ProtocolError)
+          << "count=" << count << " size=" << bytes.size();
+    }
+  }
+}
+
 TEST(Wire, Fnv1aMatchesReferenceVector) {
   // FNV-1a 64-bit reference: fnv1a("a") = 0xaf63dc4c8601ec8c.
   EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "src/core/error.hpp"
 
@@ -104,6 +105,32 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW(parse("tru"), IoError);
   EXPECT_THROW(parse("1 2"), IoError);  // trailing non-whitespace
   EXPECT_THROW(parse("\"unterminated"), IoError);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // The parser recurses once per container level: past 512 levels it
+  // rejects the input with the usual typed error instead of overflowing
+  // the stack.  512 levels still parse.
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += "{\"k\":";
+    return doc + "0" + std::string(depth, '}');
+  };
+  EXPECT_NO_THROW(parse(arrays(512)));
+  EXPECT_NO_THROW(parse(objects(512)));
+  EXPECT_THROW(parse(arrays(513)), IoError);
+  EXPECT_THROW(parse(objects(513)), IoError);
+  try {
+    parse(std::string(100000, '['));
+    FAIL() << "100,000 nested '[' parsed";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("json parse error at line 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, KindMismatchThrows) {
