@@ -48,9 +48,9 @@ META=$(printf '"meta": {"host": "%s", "os": "%s", "cpu": "%s", "cpus": %s, "comp
   "$(json_escape "$META_CPU")" "$META_NCPU" "$(json_escape "$META_CXX")" \
   "$(json_escape "$META_COMMIT")" "$META_DIRTY" "$META_DATE")
 
-# Shield the benches from external scheduler noise when allowed to: mode
-# comparisons (serial vs pipelined co-simulation) are decided by a few
-# percent, and a background task preempting one rep skews the verdict.
+# Shield the benches from external scheduler noise when allowed to:
+# configuration comparisons (E1's A/B/C rows) are decided by a few percent,
+# and a background task preempting one rep skews the verdict.
 NICE=""
 if nice -n -10 true 2>/dev/null; then
   NICE="nice -n -10"

@@ -4,7 +4,7 @@
 # static lint CLI on the shipped designs, or run clang-tidy.
 #
 #   scripts/check.sh           # build + ctest
-#   scripts/check.sh --tsan    # + TSan build, ctest -L cosim_threaded
+#   scripts/check.sh --tsan    # + TSan build, ctest -L threaded
 #   scripts/check.sh --asan    # + ASan build, full ctest suite
 #   scripts/check.sh --ubsan   # + UBSan build, full ctest suite
 #   scripts/check.sh --lint    # + castanet_lint on both example designs
@@ -126,14 +126,13 @@ if [ "$run_bench_smoke" -eq 1 ]; then
 fi
 
 if [ "$run_tsan" -eq 1 ]; then
-  # The threaded co-simulation paths (pipelined VerificationSession /
-  # CoVerification workers, SPSC channels) carry their own ctest label so
-  # the slow TSan pass is restricted to the tests that exercise threads.
+  # The tests that run a second thread (RemoteBackend's device host) carry
+  # their own ctest label so the slow TSan pass is restricted to them.
   echo "== configure + build ($TSAN_BUILD, CASTANET_SANITIZE=thread)"
   cmake -B "$TSAN_BUILD" -S . -DCASTANET_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_cosim_pipelined
-  echo "== ctest -L cosim_threaded ($TSAN_BUILD)"
-  ctest --test-dir "$TSAN_BUILD" -L cosim_threaded --output-on-failure
+  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_remote_backend
+  echo "== ctest -L threaded ($TSAN_BUILD)"
+  ctest --test-dir "$TSAN_BUILD" -L threaded --output-on-failure
 fi
 
 if [ "$run_asan" -eq 1 ] || [ "$run_ubsan" -eq 1 ]; then

@@ -9,9 +9,8 @@
 //   kElaboration — only initialize() ran (every process executed once).
 //                  Combinational logic has driven its outputs; clocked
 //                  processes have not seen an edge yet, so rules that need
-//                  their drive sets (undriven inputs, the feed-forward
-//                  classifier) are skipped.  This is the depth the opt-in
-//                  elaboration hook runs at.
+//                  their drive sets (undriven inputs) are skipped.  This is
+//                  the depth the opt-in elaboration hook runs at.
 //   kProbed      — settle() ran: a short settling window with read tracking
 //                  enabled, long enough for clocked processes to fire.  The
 //                  full rule set applies.  This is what castanet_lint does.
@@ -38,13 +37,6 @@ struct NetlistOptions {
   /// Allowlist applied by every signal-anchored rule.
   std::vector<RuleSuppression> suppressions;
 };
-
-/// The §3.2/§7 topology classification now lives in the shared rtl
-/// elaboration facility (src/rtl/levelize.hpp) — the kernel's two-phase
-/// scheduler and these rules consume one implementation.  The lint names
-/// stay valid for existing callers.
-using TopologyInfo = rtl::TopologyInfo;
-using rtl::classify_topology;
 
 /// Prepares `sim` for a kProbed analysis: enables read tracking, runs
 /// initialize(), then `cycles` periods of `clock_period` so clocked

@@ -256,7 +256,7 @@ class Simulator {
   /// lint::install_elaboration_hooks): invoked once per simulator at the
   /// end of initialize(), when the design is fully elaborated and every
   /// process has executed its initialization run.  Install before
-  /// elaborating any design and never from a worker thread; a throwing
+  /// elaborating any design and never from a second thread; a throwing
   /// hook propagates out of initialize()/run_until.
   using ElaborationHook = std::function<void(Simulator&)>;
   static void set_elaboration_hook(ElaborationHook hook);

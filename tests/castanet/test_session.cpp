@@ -179,21 +179,16 @@ struct SessionRig {
   }
 };
 
-ConservativeSync::Params sync_params() {
+ConservativeSync::Params sync_params(
+    SyncPolicy policy = SyncPolicy::kGlobalOrder) {
   ConservativeSync::Params p;
-  p.policy = SyncPolicy::kGlobalOrder;
-  p.clock_period = kClkPeriod;
-  return p;
-}
-
-VerificationSession::Params session_params() {
-  VerificationSession::Params p;
+  p.policy = policy;
   p.clock_period = kClkPeriod;
   return p;
 }
 
 TEST(VerificationSession, HonestRigHasZeroDivergences) {
-  SessionRig rig(session_params(), sync_params(), 20, SimTime::from_us(5));
+  SessionRig rig({}, sync_params(), 20, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(400));
   rig.session.comparator().finish();
   // The primary's responses still close the Fig. 2 loop into the network.
@@ -211,8 +206,24 @@ TEST(VerificationSession, HonestRigHasZeroDivergences) {
   EXPECT_EQ(rig.refb.messages_applied(), 20u);
 }
 
+TEST(VerificationSession, RepeatedRunsAccumulate) {
+  // A second run_until continues from the first call's final state.
+  SessionRig rig({}, sync_params(), 20, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(60));
+  EXPECT_EQ(rig.session.stats().backends[0].causality_errors, 0u);
+  rig.session.run_until(SimTime::from_us(400));
+  rig.session.comparator().finish();
+  EXPECT_EQ(rig.rx.cells_accepted(), 20u);
+  EXPECT_EQ(rig.sink->cells_received(), 20u);
+  EXPECT_TRUE(rig.session.comparator().clean())
+      << rig.session.comparator().report();
+  for (const auto& b : rig.session.stats().backends) {
+    EXPECT_EQ(b.causality_errors, 0u) << b.name;
+  }
+}
+
 TEST(VerificationSession, CorruptedReferenceFlaggedWithStreamAndTime) {
-  SessionRig rig(session_params(), sync_params(), 10, SimTime::from_us(5),
+  SessionRig rig({}, sync_params(), 10, SimTime::from_us(5),
                  /*corrupt_from=*/3);
   rig.session.run_until(SimTime::from_us(250));
   rig.session.comparator().finish();
@@ -248,7 +259,7 @@ TEST(VerificationSession, ThreeBackendFanOutIsolatesTheLiar) {
       r->respond(0, m.timestamp, cell);
     });
   }
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, {});
   session.attach(a);
   session.attach(b);
   session.attach(c);
@@ -285,7 +296,7 @@ TEST(VerificationSession, FinishHookResponsesReachComparator) {
   b.set_finish_hook([&](ReferenceBackend& r, SimTime at) {
     r.respond_words(0, at, {count_b + 1});  // off-by-one "bug"
   });
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, {});
   session.attach(a);
   session.attach(b);
   session.set_response_handler([](const TimedMessage&) {});
@@ -307,11 +318,147 @@ TEST(VerificationSession, AttachAfterRunRejected) {
   netsim::Node& env = net.add_node("env");
   ReferenceBackend a("primary", sync_params());
   a.register_input(0, 1, [](const TimedMessage&) {});
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, {});
   session.attach(a);
   session.run_until(SimTime::from_us(10));
   ReferenceBackend late("late", sync_params());
   EXPECT_THROW(session.attach(late), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Two-party sessions: the Fig. 2 loop with one RTL backend.
+
+/// Traffic generator (network domain) -> gateway -> session -> co-simulation
+/// entity -> serial cell lane -> RTL cell receiver (the DUT) -> responses ->
+/// gateway -> sink.  The response channel carries the same modeled IPC cost
+/// as the gateway transport.
+struct RtlRig {
+  netsim::Simulation net;
+  rtl::Simulator hdl;
+  rtl::Signal clk{&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0)};
+  rtl::Signal rst{&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0)};
+  rtl::ClockGen clock{hdl, clk, kClkPeriod};
+  hw::CellPort lane = hw::make_cell_port(hdl, "lane");
+  hw::CellPortDriver driver{hdl, "drv", clk, lane};
+  hw::CellReceiver rx{hdl, "rx", clk, rst, lane};
+
+  netsim::Node& env = net.add_node("env");
+  RtlBackend rtl;
+  VerificationSession session;
+  traffic::SinkProcess* sink = nullptr;
+
+  RtlRig(SyncPolicy policy, std::uint64_t cells, SimTime period,
+         VerificationSession::Params sp = {})
+      : rtl("rtl", hdl, sync_params(policy),
+            MessageChannel::Params{sp.ipc_overhead_per_message}),
+        session(net, env, 1, sp) {
+    session.attach(rtl);
+    auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
+                                                    period);
+    auto& gen = env.add_process<traffic::GeneratorProcess>(
+        "gen", std::move(src), cells);
+    sink = &env.add_process<traffic::SinkProcess>("sink");
+    net.connect(gen, 0, session.gateway(), 0);
+    net.connect(session.gateway(), 0, *sink, 0);
+
+    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
+      ASSERT_TRUE(m.cell.has_value());
+      driver.enqueue(*m.cell);
+    });
+    // DUT responses: every received cell back to the abstract level.
+    hdl.add_process("respond", {rx.cell_valid.id()}, [this] {
+      if (rx.cell_valid.rose()) {
+        rtl.entity().send_cell_response(
+            0, hw::bits_to_cell(rx.cell_out.read(), false));
+      }
+    });
+  }
+
+  VerificationSession::BackendStats rtl_stats() const {
+    return session.stats().backends[0];
+  }
+};
+
+TEST(RtlSession, AllCellsRoundTripThroughRtlDut) {
+  RtlRig rig(SyncPolicy::kGlobalOrder, 20, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(400));
+  EXPECT_EQ(rig.rx.cells_accepted(), 20u);
+  EXPECT_EQ(rig.sink->cells_received(), 20u);
+  // Content preserved end to end.
+  for (std::size_t i = 0; i < rig.sink->log().size(); ++i) {
+    EXPECT_EQ(traffic::cell_sequence(rig.sink->log()[i].cell), i);
+  }
+}
+
+TEST(RtlSession, HdlTimeAlwaysLagsNetworkTime) {
+  RtlRig rig(SyncPolicy::kGlobalOrder, 10, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(200));
+  const auto stats = rig.rtl_stats();
+  EXPECT_EQ(stats.causality_errors, 0u);
+  EXPECT_GT(stats.max_lag_seconds, 0.0);
+  EXPECT_GT(stats.windows, 0u);
+}
+
+TEST(RtlSession, MessageCountsMatchTraffic) {
+  RtlRig rig(SyncPolicy::kGlobalOrder, 15, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(300));
+  EXPECT_EQ(rig.session.stats().messages_to_hdl, 15u);
+  EXPECT_EQ(rig.rtl.response_channel().messages_sent(), 15u);
+  EXPECT_EQ(rig.session.gateway().forwarded(), 15u);
+  EXPECT_EQ(rig.session.gateway().responses_emitted(), 15u);
+}
+
+TEST(RtlSession, TimeWindowPolicyAlsoDelivers) {
+  // CBR spacing (5 us) exceeds delta (53 cycles = 2.65 us), satisfying the
+  // paper's spacing assumption for the time-window rule.
+  RtlRig rig(SyncPolicy::kTimeWindow, 20, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(400));
+  EXPECT_EQ(rig.sink->cells_received(), 20u);
+  EXPECT_EQ(rig.rtl_stats().causality_errors, 0u);
+}
+
+TEST(RtlSession, LockstepPolicyDeliversSlowly) {
+  RtlRig rig(SyncPolicy::kLockstep, 5, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(100));
+  EXPECT_EQ(rig.sink->cells_received(), 5u);
+  // Lockstep grants one clock per window: far more windows than the
+  // message-driven policies need.
+  EXPECT_GT(rig.rtl_stats().windows, 100u);
+}
+
+TEST(RtlSession, ResponseLatencyDelaysReinjection) {
+  VerificationSession::Params sp;
+  sp.response_latency = SimTime::from_us(50);
+  RtlRig rig(SyncPolicy::kGlobalOrder, 3, SimTime::from_us(5), sp);
+  rig.session.run_until(SimTime::from_us(300));
+  ASSERT_EQ(rig.sink->log().size(), 3u);
+  // The response is computed after ~53 HDL cycles and re-enters the network
+  // model no earlier than the configured 50 us latency after that.
+  EXPECT_GE(rig.sink->log()[0].time, SimTime::from_us(50));
+}
+
+TEST(RtlSession, CustomResponseHandlerOverridesDefault) {
+  RtlRig rig(SyncPolicy::kGlobalOrder, 4, SimTime::from_us(5));
+  std::vector<TimedMessage> captured;
+  rig.session.set_response_handler(
+      [&](const TimedMessage& m) { captured.push_back(m); });
+  rig.session.run_until(SimTime::from_us(200));
+  EXPECT_EQ(captured.size(), 4u);
+  EXPECT_EQ(rig.sink->cells_received(), 0u);  // default path bypassed
+  for (const auto& m : captured) {
+    EXPECT_TRUE(m.cell.has_value());
+  }
+}
+
+TEST(RtlSession, IpcOverheadAccountedOnBothChannels) {
+  VerificationSession::Params sp;
+  sp.ipc_overhead_per_message = SimTime::from_us(1);
+  RtlRig rig(SyncPolicy::kGlobalOrder, 10, SimTime::from_us(5), sp);
+  rig.session.run_until(SimTime::from_us(200));
+  EXPECT_EQ(rig.session.gateway_transport().transport_overhead(),
+            SimTime::from_us(10));
+  EXPECT_EQ(rig.rtl.response_channel().transport_overhead(),
+            SimTime::from_us(10));
 }
 
 // ---------------------------------------------------------------------------

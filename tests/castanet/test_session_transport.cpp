@@ -12,7 +12,6 @@
 
 #include "src/castanet/backend.hpp"
 #include "src/castanet/wire.hpp"
-#include "src/core/error.hpp"
 #include "src/netsim/simulation.hpp"
 #include "src/traffic/processes.hpp"
 
@@ -52,7 +51,6 @@ RunOutcome run_session(TransportKind kind) {
   }
 
   VerificationSession::Params sp;
-  sp.clock_period = kClkPeriod;
   sp.transport = kind;
   sp.ipc_overhead_per_message = SimTime::from_ns(500);
 
@@ -100,17 +98,17 @@ TEST(SessionTransport, SocketSessionByteIdenticalToInProcess) {
   EXPECT_EQ(socket.responses, inproc.responses);
 }
 
-TEST(SessionTransport, GatewayChannelAccessorRequiresInProcess) {
+TEST(SessionTransport, GatewayTransportFollowsParams) {
   netsim::Simulation net;
   netsim::Node& env = net.add_node("env");
   VerificationSession::Params sp;
   sp.transport = TransportKind::kSocket;
   VerificationSession session(net, env, 1, sp);
-  EXPECT_THROW(session.gateway_channel(), LogicError);
+  EXPECT_STREQ(session.gateway_transport().kind_name(), "socket");
 
   VerificationSession plain(net, net.add_node("env2"), 1,
                             VerificationSession::Params{});
-  EXPECT_NO_THROW(plain.gateway_channel());
+  EXPECT_STREQ(plain.gateway_transport().kind_name(), "in-process");
 }
 
 }  // namespace
