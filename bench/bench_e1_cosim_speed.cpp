@@ -281,7 +281,7 @@ Row run_cosim_full(
     monitors.push_back(std::make_unique<hw::CellPortMonitor>(
         hdl, "mon" + std::to_string(p), clk, sw.phys_out(p)));
     monitors[p]->set_callback([&cmp](const atm::Cell& c) { cmp.actual(c); });
-    rtl.entity().register_input(
+    rtl.register_input(
         static_cast<cosim::MessageType>(p), 53,
         [&, p](const cosim::TimedMessage& m) { drivers[p]->enqueue(*m.cell); });
     traffic::CellTrace trace;
@@ -376,7 +376,7 @@ Row run_cosim_gcu(const std::vector<std::vector<traffic::CellArrival>>& traffic)
   std::uint64_t cells = 0;
   for (std::size_t p = 0; p < kPorts; ++p) {
     cells += traffic[p].size();
-    rtl.entity().register_input(
+    rtl.register_input(
         static_cast<cosim::MessageType>(p), 2,
         [&, p](const cosim::TimedMessage& m) {
           const auto routed = ref.route(p, *m.cell);

@@ -82,7 +82,7 @@ Verdict run_flow(const traffic::CellTrace& trace, hw::AccountingFault fault) {
   cosim::VerificationSession session(net, env, 1, {});
   session.attach(rtl);
   session.set_response_handler([](const cosim::TimedMessage&) {});
-  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  rtl.register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
   auto& gen = env.add_process<traffic::GeneratorProcess>(

@@ -72,7 +72,7 @@ std::uint64_t run_cosim_level(const traffic::CellTrace& trace) {
   cosim::VerificationSession session(net, env, 1, {});
   session.attach(rtl);
   session.set_response_handler([](const cosim::TimedMessage&) {});
-  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  rtl.register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
   auto& gen = env.add_process<traffic::GeneratorProcess>(

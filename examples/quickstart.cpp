@@ -41,14 +41,14 @@ int main() {
   session.attach(rtl);
 
   // Abstract cells are lowered onto the byte lane (53 clocks + cellsync).
-  rtl.entity().register_input(0, /*delta_cycles=*/53,
-                              [&](const cosim::TimedMessage& m) {
-                                driver.enqueue(*m.cell);
-                              });
+  rtl.register_input(0, /*delta_cycles=*/53,
+                     [&](const cosim::TimedMessage& m) {
+                       driver.enqueue(*m.cell);
+                     });
   // DUT responses are raised back to the abstract level.
   hdl.add_process("respond", {dut.cell_valid.id()}, [&] {
     if (dut.cell_valid.rose()) {
-      rtl.entity().send_cell_response(
+      rtl.send_cell_response(
           0, hw::bits_to_cell(dut.cell_out.read(), false));
     }
   });
@@ -83,8 +83,7 @@ int main() {
   std::printf("  messages net->hdl ..... %llu\n",
               static_cast<unsigned long long>(stats.messages_to_hdl));
   std::printf("  messages hdl->net ..... %llu\n",
-              static_cast<unsigned long long>(
-                  rtl.response_channel().messages_sent()));
+              static_cast<unsigned long long>(rtl_stats.responses));
   std::printf("  sync windows granted .. %llu\n",
               static_cast<unsigned long long>(rtl_stats.windows));
   std::printf("  causality errors ...... %llu\n",

@@ -35,10 +35,10 @@ AccountingRig::AccountingRig(Params params)
   // --- backend 0 (primary): the RTL accounting unit -----------------------
   acct.set_tariff(0, hw::Tariff{1, 0});
   acct.bind_connection({1, 100}, 0, 0);
-  rtl.entity().register_input(0, 53, [this](const cosim::TimedMessage& m) {
+  rtl.register_input(0, 53, [this](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
-  rtl.set_finish_hook([this](cosim::RtlBackend& b, SimTime) {
+  rtl.set_finish_hook([this](SimTime) {
     // Read the counters out over the microprocessor bus, like the embedded
     // control software would, and respond with [count, clp1, charge].
     std::uint16_t lo = 0, mid = 0, clp_lo = 0, chg_lo = 0, chg_mid = 0;
@@ -50,7 +50,7 @@ AccountingRig::AccountingRig(Params params)
     bus.read(0x05, [&](std::uint16_t v) { chg_mid = v; });
     while (!bus.idle()) hdl.run_until(hdl.now() + p.clk_period);
     hdl.run_until(hdl.now() + p.clk_period * 2);
-    b.entity().send_word_response(
+    rtl.send_word_response(
         0, {std::uint64_t{mid} << 16 | lo, clp_lo,
             std::uint64_t{chg_mid} << 16 | chg_lo});
   });
@@ -61,8 +61,9 @@ AccountingRig::AccountingRig(Params params)
   refb.register_input(0, 1, [this](const cosim::TimedMessage& m) {
     ref.observe(*m.cell);
   });
-  refb.set_finish_hook([this](cosim::ReferenceBackend& b, SimTime at) {
-    b.respond_words(0, at, {ref.count(0), ref.clp1_count(0), ref.charge(0)});
+  refb.set_finish_hook([this](SimTime at) {
+    refb.respond_words(0, at,
+                       {ref.count(0), ref.clp1_count(0), ref.charge(0)});
   });
 
   // --- backend 2: the fabricated device on the test board -----------------
@@ -78,7 +79,7 @@ AccountingRig::AccountingRig(Params params)
   brd = std::make_unique<cosim::BoardBackend>("board", board, *dut.adapter,
                                               bp);
   brd->register_cell_input(0, 53);
-  brd->set_finish_hook([this](cosim::BoardBackend& b, SimTime at) {
+  brd->set_finish_hook([this](SimTime at) {
     // Same µP readback, but through the board's bidirectional bus.
     cosim::board_bus_write(board, *dut.adapter, 0x00, 0);
     const auto rd = [&](std::uint16_t lo_reg) -> std::uint64_t {
@@ -92,7 +93,7 @@ AccountingRig::AccountingRig(Params params)
     const std::uint64_t clp1 = cosim::board_bus_read(board, *dut.adapter,
                                                      0x07);
     const std::uint64_t charge = rd(0x04);
-    b.respond_words(0, at, {count, clp1, charge});
+    brd->respond_words(0, at, {count, clp1, charge});
   });
 
   // --- one testbench drives all three -------------------------------------

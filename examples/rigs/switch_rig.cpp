@@ -64,7 +64,7 @@ SwitchRig::SwitchRig(Params params)
                        static_cast<std::uint32_t>(route.out_port)},
                       {in.vpi, in.vci, static_cast<std::uint32_t>(pt)});
 
-    rtl.entity().register_input(
+    rtl.register_input(
         static_cast<cosim::MessageType>(pt), 53,
         [this, pt](const cosim::TimedMessage& m) {
           ports.drivers[pt]->enqueue(*m.cell);
@@ -72,7 +72,7 @@ SwitchRig::SwitchRig(Params params)
     // Monitors report on the out-port's stream; each out port is fed by
     // exactly one in port here, so per-stream FIFO order is well defined.
     ports.monitors[pt]->set_callback([this, pt](const atm::Cell& c) {
-      rtl.entity().send_cell_response(static_cast<cosim::MessageType>(pt), c);
+      rtl.send_cell_response(static_cast<cosim::MessageType>(pt), c);
     });
     refb.register_input(
         static_cast<cosim::MessageType>(pt), 1,

@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rig.sw.gcu().cells_switched()));
   std::printf("  messages exchanged .... %llu -> / %llu <-\n",
               static_cast<unsigned long long>(stats.messages_to_hdl),
-              static_cast<unsigned long long>(
-                  rig.rtl.response_channel().messages_sent()));
+              static_cast<unsigned long long>(stats.backends[0].responses));
   for (const auto& b : stats.backends) {
     std::printf("  backend %-11s ... %llu windows, %llu causality errors\n",
                 b.name.c_str(),

@@ -8,6 +8,51 @@
 
 namespace castanet::cosim {
 
+DutBackend::DutBackend(std::string name, ConservativeSync::Params sync_params)
+    : name_(std::move(name)), sync_(sync_params) {
+  // The buffer keeps its capacity across drains; sizing it here, at
+  // elaboration, means a run's first responses do not allocate either.
+  responses_.reserve(64);
+}
+
+void DutBackend::declare_input(MessageType type, std::uint64_t delta_cycles) {
+  sync_.declare_input(type, delta_cycles);
+}
+
+void DutBackend::register_input(MessageType type, std::uint64_t delta_cycles,
+                                ApplyFn apply) {
+  sync_.declare_input(type, delta_cycles);
+  apply_[type] = std::move(apply);
+}
+
+const DutBackend::ApplyFn& DutBackend::apply_fn(MessageType type) const {
+  auto it = apply_.find(type);
+  if (it == apply_.end()) [[unlikely]] {
+    throw LogicError("DutBackend '" + name_ +
+                     "': no apply fn for message type " + std::to_string(type));
+  }
+  return it->second;
+}
+
+void DutBackend::respond(MessageType stream, SimTime ts, const atm::Cell& c) {
+  responses_.push_back(make_cell_message(stream, ts, c));
+}
+
+void DutBackend::respond_words(MessageType stream, SimTime ts,
+                               std::vector<std::uint64_t> words) {
+  responses_.push_back(make_word_message(stream, ts, std::move(words)));
+}
+
+void DutBackend::drain_responses(std::vector<TimedMessage>& out) {
+  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
+             std::make_move_iterator(responses_.end()));
+  responses_.clear();
+}
+
+void DutBackend::finish(SimTime at) {
+  if (finish_hook_) finish_hook_(at);
+}
+
 void DutBackend::catch_up(SimTime limit) {
   // First window probe before any span: a catch-up that cannot advance at
   // all is a lookahead stall (the protocol granted nothing new), counted
@@ -15,7 +60,7 @@ void DutBackend::catch_up(SimTime limit) {
   {
     const SimTime target = std::min(window() - SimTime::from_ps(1), limit);
     if (target <= now()) {
-      sync().note_lookahead_stall();
+      sync_.note_lookahead_stall();
       return;
     }
   }
@@ -33,7 +78,7 @@ void DutBackend::catch_up(SimTime limit) {
   if (span) {
     span->arg("to_us", now().seconds() * 1e6);
     span->arg("lag_us",
-              std::max(0.0, (sync().network_time() - now()).seconds() * 1e6));
+              std::max(0.0, (sync_.network_time() - now()).seconds() * 1e6));
   }
 }
 
@@ -41,16 +86,17 @@ void DutBackend::catch_up(SimTime limit) {
 // RtlBackend
 
 RtlBackend::RtlBackend(std::string name, rtl::Simulator& hdl,
-                       ConservativeSync::Params sync_params,
-                       MessageChannel::Params channel_params)
-    : DutBackend(std::move(name)),
-      hdl_(hdl),
-      from_net_(channel_params),
-      to_net_(channel_params),
-      entity_(std::make_unique<CosimEntity>(hdl, from_net_, to_net_,
-                                            sync_params)) {}
+                       ConservativeSync::Params sync_params)
+    : DutBackend(std::move(name), sync_params), hdl_(hdl) {}
 
-SimTime RtlBackend::now() const { return hdl_.now(); }
+void RtlBackend::send_cell_response(MessageType type, const atm::Cell& c) {
+  respond(type, hdl_.now(), c);
+}
+
+void RtlBackend::send_word_response(MessageType type,
+                                    std::vector<std::uint64_t> words) {
+  respond_words(type, hdl_.now(), std::move(words));
+}
 
 void RtlBackend::set_telemetry_track(telemetry::TrackId track) {
   DutBackend::set_telemetry_track(track);
@@ -58,15 +104,23 @@ void RtlBackend::set_telemetry_track(telemetry::TrackId track) {
 }
 
 void RtlBackend::advance_to(SimTime target) {
-  entity_->advance_hdl_to(target);
-}
-
-void RtlBackend::finish(SimTime at) {
-  if (finish_hook_) finish_hook_(*this, at);
-}
-
-void RtlBackend::drain_responses(std::vector<TimedMessage>& out) {
-  while (auto m = to_net_.receive()) out.push_back(std::move(*m));
+  // Deliver everything with ts <= target (catch_up passes a target below
+  // the exclusive window).  Every message taken here is due by `target`,
+  // so the run below delivers all of them.  Entries are only appended
+  // before it and only cleared after it returns: if an apply throws, the
+  // callbacks still pending keep valid indices.
+  std::size_t i = parked_.size();
+  sync().take_deliverable(target + SimTime::from_ps(1), parked_);
+  for (; i < parked_.size(); ++i) {
+    const TimedMessage& m = parked_[i];
+    const ApplyFn* fn = &apply_fn(m.type);
+    const SimTime delay =
+        m.timestamp > hdl_.now() ? m.timestamp - hdl_.now() : SimTime::zero();
+    hdl_.schedule_callback(delay, [fn, this, i] { (*fn)(parked_[i]); });
+  }
+  hdl_.run_until(target);
+  parked_.clear();
+  sync().note_hdl_time(hdl_.now());
 }
 
 // ---------------------------------------------------------------------------
@@ -74,48 +128,18 @@ void RtlBackend::drain_responses(std::vector<TimedMessage>& out) {
 
 ReferenceBackend::ReferenceBackend(std::string name,
                                    ConservativeSync::Params sync_params)
-    : DutBackend(std::move(name)), sync_(sync_params) {}
-
-void ReferenceBackend::register_input(MessageType type,
-                                      std::uint64_t delta_cycles,
-                                      ApplyFn apply) {
-  sync_.declare_input(type, delta_cycles);
-  apply_[type] = std::move(apply);
-}
-
-void ReferenceBackend::respond(MessageType stream, SimTime ts,
-                               const atm::Cell& c) {
-  responses_.push_back(make_cell_message(stream, ts, c));
-}
-
-void ReferenceBackend::respond_words(MessageType stream, SimTime ts,
-                                     std::vector<std::uint64_t> words) {
-  responses_.push_back(make_word_message(stream, ts, std::move(words)));
-}
+    : DutBackend(std::move(name), sync_params) {}
 
 void ReferenceBackend::advance_to(SimTime target) {
   // Instantaneous δ: each deliverable message is one function call at its
   // own time stamp (take_deliverable returns them sorted by time).
-  auto messages = sync_.take_deliverable(target + SimTime::from_ps(1));
+  auto messages = sync().take_deliverable(target + SimTime::from_ps(1));
   for (TimedMessage& m : messages) {
-    auto it = apply_.find(m.type);
-    require(it != apply_.end(),
-            "ReferenceBackend: no apply fn for message type");
-    it->second(m);
+    apply_fn(m.type)(m);
     ++applied_;
   }
   now_ = target;
-  sync_.note_hdl_time(now_);
-}
-
-void ReferenceBackend::finish(SimTime at) {
-  if (finish_hook_) finish_hook_(*this, at);
-}
-
-void ReferenceBackend::drain_responses(std::vector<TimedMessage>& out) {
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
+  sync().note_hdl_time(now_);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,8 +147,7 @@ void ReferenceBackend::drain_responses(std::vector<TimedMessage>& out) {
 
 BoardBackend::BoardBackend(std::string name, board::HardwareTestBoard& board,
                            board::BehavioralDut& dut, Params p)
-    : DutBackend(std::move(name)),
-      sync_(p.sync),
+    : DutBackend(std::move(name), p.sync),
       board_(board),
       dut_(dut),
       stream_(board, p.stream),
@@ -134,24 +157,19 @@ BoardBackend::BoardBackend(std::string name, board::HardwareTestBoard& board,
 
 void BoardBackend::register_cell_input(MessageType type,
                                        std::uint64_t delta_cycles) {
-  sync_.declare_input(type, delta_cycles);
+  declare_input(type, delta_cycles);
   cell_stream_ = type;
 }
 
-void BoardBackend::respond_words(MessageType stream, SimTime ts,
-                                 std::vector<std::uint64_t> words) {
-  responses_.push_back(make_word_message(stream, ts, std::move(words)));
-}
-
 void BoardBackend::advance_to(SimTime target) {
-  auto messages = sync_.take_deliverable(target + SimTime::from_ps(1));
+  auto messages = sync().take_deliverable(target + SimTime::from_ps(1));
   for (TimedMessage& m : messages) {
     if (!m.cell) continue;  // the board cell stream carries cells only
     pending_.push_back({m.timestamp, *m.cell});
   }
   if (pending_.size() >= p_.cells_per_batch) run_pending();
   now_ = target;
-  sync_.note_hdl_time(now_);
+  sync().note_hdl_time(now_);
 }
 
 void BoardBackend::run_pending() {
@@ -177,21 +195,14 @@ void BoardBackend::run_pending() {
   // The adapter's violation counter is cumulative across runs; mirror it
   // rather than summing per-batch snapshots.
   totals_.timing_violations = r.timing_violations;
-  for (const atm::Cell& c : r.responses)
-    responses_.push_back(make_cell_message(cell_stream_, origin, c));
+  for (const atm::Cell& c : r.responses) respond(cell_stream_, origin, c);
   pending_.clear();
 }
 
 void BoardBackend::finish(SimTime at) {
   run_pending();
-  if (finish_hook_) finish_hook_(*this, at);
+  DutBackend::finish(at);
   now_ = std::max(now_, at);
-}
-
-void BoardBackend::drain_responses(std::vector<TimedMessage>& out) {
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
 }
 
 }  // namespace castanet::cosim

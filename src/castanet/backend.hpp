@@ -2,13 +2,17 @@
 // Fig. 5): the same CASTANET environment — traffic models, gateway, sync
 // protocol, comparator — drives the algorithm reference model, the VHDL DUT
 // and the fabricated chip on the test board.  A DutBackend is one such
-// attachment point: it owns a ConservativeSync instance (inputs declared
-// with their δ_j), consumes the gateway's time-stamped messages, catches up
-// to granted windows, and produces time-stamped responses.
+// attachment point, and it owns everything the attachments share: one
+// ConservativeSync instance (inputs declared with their δ_j), the table of
+// apply functions for apply-based backends, the buffer of time-stamped
+// responses the session drains, and an end-of-run finish hook.  Subclasses
+// add only how their device advances through a granted window.
 //
-// Three implementations:
-//   RtlBackend       — rtl::Simulator + CosimEntity (the "VSS" path of
-//                      Fig. 2); δ_j are real processing delays.
+// Three implementations here (RemoteBackend, remote.hpp, is the fourth):
+//   RtlBackend       — the Fig. 2 "C-language co-simulation entity" inside
+//                      an rtl::Simulator (the "VSS" path); δ_j are real
+//                      processing delays and each deliverable message is
+//                      applied as an HDL callback at its own time stamp.
 //   ReferenceBackend — the hw/reference behavioral models as an
 //                      instantaneous-δ backend: deliverable messages are
 //                      applied as plain function calls at their own time
@@ -25,43 +29,61 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/castanet/board_driver.hpp"
-#include "src/castanet/entity.hpp"
 #include "src/castanet/message.hpp"
 #include "src/castanet/sync.hpp"
 #include "src/core/telemetry.hpp"
+#include "src/rtl/simulator.hpp"
 #include "src/traffic/trace.hpp"
 
 namespace castanet::cosim {
 
 class DutBackend {
  public:
-  explicit DutBackend(std::string name) : name_(std::move(name)) {}
+  DutBackend(std::string name, ConservativeSync::Params sync_params);
   virtual ~DutBackend() = default;
   DutBackend(const DutBackend&) = delete;
   DutBackend& operator=(const DutBackend&) = delete;
 
   const std::string& name() const { return name_; }
 
-  /// This backend's conservative synchronization instance.  Every backend
-  /// owns exactly one; the session pushes every gateway message into every
-  /// attached backend's sync, so causality is checked per backend.
-  virtual ConservativeSync& sync() = 0;
-  const ConservativeSync& sync() const {
-    return const_cast<DutBackend*>(this)->sync();
-  }
+  /// This backend's conservative synchronization instance.  The session
+  /// pushes every gateway message into every attached backend's sync, so
+  /// causality is checked per backend.
+  ConservativeSync& sync() { return sync_; }
+  const ConservativeSync& sync() const { return sync_; }
+
+  /// Declares input `type` with δ = `delta_cycles` and no apply function
+  /// (the board's cell stream, a proxy's mirror of its host's inputs).
+  void declare_input(MessageType type, std::uint64_t delta_cycles);
+
+  /// Declares input `type` with δ = `delta_cycles`; `apply` runs once per
+  /// deliverable message, at its time stamp, in time-stamp order.  Calling
+  /// it again for a declared type replaces the function and the δ.
+  using ApplyFn = std::function<void(const TimedMessage&)>;
+  void register_input(MessageType type, std::uint64_t delta_cycles,
+                      ApplyFn apply);
+
+  /// Buffers a response on `stream` stamped `ts` until the session drains
+  /// it.  Apply functions and finish hooks call these.
+  void respond(MessageType stream, SimTime ts, const atm::Cell& c);
+  void respond_words(MessageType stream, SimTime ts,
+                     std::vector<std::uint64_t> words);
+
+  /// Moves every response buffered since the last call into `out`
+  /// (appended).
+  void drain_responses(std::vector<TimedMessage>& out);
 
   /// Feeds one message (or pure time update) from the network side.
   /// Virtual so proxy backends (RemoteBackend) can forward the identical
   /// stream across a process boundary while mirroring it locally.
-  virtual void push(const TimedMessage& m) { sync().push(m); }
+  virtual void push(const TimedMessage& m) { sync_.push(m); }
 
   /// Current safe window (exclusive) for this backend.
-  SimTime window() const { return sync().window(); }
+  SimTime window() const { return sync_.window(); }
 
   /// This backend's current simulated time.
   virtual SimTime now() const = 0;
@@ -71,14 +93,15 @@ class DutBackend {
   /// converge in one iteration, lockstep needs one per clock period).
   void catch_up(SimTime limit);
 
-  /// End-of-run hook, invoked once per VerificationSession::run_until after
-  /// the final catch-up: flush anything batched (board test cycles) and
-  /// emit final responses (register readbacks).
-  virtual void finish(SimTime at) { (void)at; }
+  /// End-of-run hook, invoked after the final catch-up (e.g. read out final
+  /// registers and respond_words() them).  Callers capture the backend
+  /// they need.
+  using FinishHook = std::function<void(SimTime)>;
+  void set_finish_hook(FinishHook hook) { finish_hook_ = std::move(hook); }
 
-  /// Moves every response produced since the last call into `out`
-  /// (appended), time-stamped with this backend's clock.
-  virtual void drain_responses(std::vector<TimedMessage>& out) = 0;
+  /// Invoked once per VerificationSession::run_until after the final
+  /// catch-up, before the final response drain: runs the finish hook.
+  virtual void finish(SimTime at);
 
   /// Assigns this backend's timeline row in the Chrome trace; the session
   /// assigns one per backend ("backend:<name>") at the start of a traced
@@ -94,98 +117,79 @@ class DutBackend {
   /// backend's simulated time to `target` (inclusive).
   virtual void advance_to(SimTime target) = 0;
 
+  /// The apply function registered for `type`; throws if there is none.
+  const ApplyFn& apply_fn(MessageType type) const;
+
+  /// Buffers an already-built response (a proxy's decoded host response).
+  void respond(TimedMessage m) { responses_.push_back(std::move(m)); }
+
  private:
   std::string name_;
+  ConservativeSync sync_;
+  std::map<MessageType, ApplyFn> apply_;
+  std::vector<TimedMessage> responses_;
+  FinishHook finish_hook_;
   telemetry::TrackId telemetry_track_ = telemetry::kMainTrack;
 };
 
-/// The Fig. 2 HDL path: an rtl::Simulator plus the CosimEntity that maps
-/// abstract messages onto bit-level stimulus (§3.2) and collects monitor
-/// responses.  The entity's sync instance is the backend's sync instance.
+/// The Fig. 2 HDL path: the co-simulation entity inside an rtl::Simulator.
+/// Each deliverable message's apply function (usually one of the
+/// mapping.hpp conversion helpers feeding a driver) runs as an HDL callback
+/// at the message's time stamp; DUT-side monitors send responses stamped
+/// with the HDL clock.
 class RtlBackend : public DutBackend {
  public:
   RtlBackend(std::string name, rtl::Simulator& hdl,
-             ConservativeSync::Params sync_params,
-             MessageChannel::Params channel_params = {});
+             ConservativeSync::Params sync_params);
 
-  /// The co-simulation entity: register_input(type, δ, apply) declares
-  /// inputs; monitors call entity().send_cell_response(...).
-  CosimEntity& entity() { return *entity_; }
+  /// Exists only for the benchmark rig, which still reaches the backend
+  /// through it; it goes with the next change to the benchmark, as
+  /// VerificationSession::Params::clock_period does.
+  RtlBackend& entity() { return *this; }
 
   /// The HDL kernel this backend advances (netlist introspection for the
   /// lint analyzers).
   rtl::Simulator& hdl() { return hdl_; }
   const rtl::Simulator& hdl() const { return hdl_; }
 
-  /// Response channel (HDL -> net) for transport-overhead accounting.
-  MessageChannel& response_channel() { return to_net_; }
-  const MessageChannel& response_channel() const { return to_net_; }
+  /// Called by DUT-side monitors: responds stamped with the current HDL
+  /// time.
+  void send_cell_response(MessageType type, const atm::Cell& c);
+  void send_word_response(MessageType type, std::vector<std::uint64_t> words);
 
-  /// Optional end-of-run hook (e.g. read out final registers through the
-  /// entity); runs before the final response drain.
-  void set_finish_hook(std::function<void(RtlBackend&, SimTime)> hook) {
-    finish_hook_ = std::move(hook);
-  }
-
-  ConservativeSync& sync() override { return entity_->sync(); }
-  SimTime now() const override;
-  void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
+  SimTime now() const override { return hdl_.now(); }
   void set_telemetry_track(telemetry::TrackId track) override;
 
  protected:
+  /// Schedules every deliverable message's apply at its time stamp and
+  /// runs the HDL simulator to `target` (inclusive).
   void advance_to(SimTime target) override;
 
  private:
   rtl::Simulator& hdl_;
-  MessageChannel from_net_;  ///< unused by the session (it pushes directly)
-  MessageChannel to_net_;
-  std::unique_ptr<CosimEntity> entity_;
-  std::function<void(RtlBackend&, SimTime)> finish_hook_;
+  /// Messages advance_to has scheduled for delivery, each callback naming
+  /// its entry by index.  Cleared once the HDL run that delivers them
+  /// returns; the capacity is kept, so delivery allocates nothing.
+  std::vector<TimedMessage> parked_;
 };
 
 /// An algorithm reference model as a backend.  δ is instantaneous: a
 /// deliverable message is applied as a plain function call, and responses
-/// emitted during apply default to the stimulus time stamp — the reference
-/// reacts "within" the message.  The sync instance still enforces the full
-/// protocol (declared inputs, causality check, lag accounting), so the
-/// reference path is verified under the same rules as the HDL path.
+/// emitted during apply usually carry the stimulus time stamp — the
+/// reference reacts "within" the message.  The sync instance still enforces
+/// the full protocol (declared inputs, causality check, lag accounting), so
+/// the reference path is verified under the same rules as the HDL path.
 class ReferenceBackend : public DutBackend {
  public:
   ReferenceBackend(std::string name, ConservativeSync::Params sync_params);
 
-  /// Registers input `type` with δ = `delta_cycles`; `apply` is invoked per
-  /// deliverable message in time-stamp order.  Call respond()/
-  /// respond_words() from inside to emit responses.
-  using ApplyFn = std::function<void(const TimedMessage&)>;
-  void register_input(MessageType type, std::uint64_t delta_cycles,
-                      ApplyFn apply);
-
-  /// Emits a response on `stream`; `ts` is usually the stimulus message's
-  /// time stamp (instantaneous reaction).
-  void respond(MessageType stream, SimTime ts, const atm::Cell& c);
-  void respond_words(MessageType stream, SimTime ts,
-                     std::vector<std::uint64_t> words);
-
-  /// Optional end-of-run hook (e.g. emit final counter values).
-  void set_finish_hook(std::function<void(ReferenceBackend&, SimTime)> hook) {
-    finish_hook_ = std::move(hook);
-  }
-
-  ConservativeSync& sync() override { return sync_; }
   SimTime now() const override { return now_; }
-  void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
   std::uint64_t messages_applied() const { return applied_; }
 
  protected:
   void advance_to(SimTime target) override;
 
  private:
-  ConservativeSync sync_;
-  std::map<MessageType, ApplyFn> apply_;
-  std::vector<TimedMessage> responses_;
-  std::function<void(ReferenceBackend&, SimTime)> finish_hook_;
   SimTime now_;
   std::uint64_t applied_ = 0;
 };
@@ -224,17 +228,6 @@ class BoardBackend : public DutBackend {
   /// Declares the cell stream replayed through the board.
   void register_cell_input(MessageType type, std::uint64_t delta_cycles);
 
-  /// Emits a response on `stream` (typically from the finish hook, after
-  /// µP-bus readbacks through the board).
-  void respond_words(MessageType stream, SimTime ts,
-                     std::vector<std::uint64_t> words);
-
-  /// End-of-run hook, invoked after the last batch ran: read registers
-  /// through the board (board_bus_read) and respond_words() the results.
-  void set_finish_hook(std::function<void(BoardBackend&, SimTime)> hook) {
-    finish_hook_ = std::move(hook);
-  }
-
   board::HardwareTestBoard& board() { return board_; }
   const board::HardwareTestBoard& board() const { return board_; }
   board::BehavioralDut& dut() { return dut_; }
@@ -243,10 +236,10 @@ class BoardBackend : public DutBackend {
   /// Accumulated run statistics over every batch so far.
   const BoardCellStream::Result& totals() const { return totals_; }
 
-  ConservativeSync& sync() override { return sync_; }
   SimTime now() const override { return now_; }
+  /// Runs the last (partial) batch, then the finish hook: µP-bus readbacks
+  /// through the board see every cell.
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
 
  protected:
   void advance_to(SimTime target) override;
@@ -254,16 +247,13 @@ class BoardBackend : public DutBackend {
  private:
   void run_pending();
 
-  ConservativeSync sync_;
   board::HardwareTestBoard& board_;
   board::BehavioralDut& dut_;
   BoardCellStream stream_;
   Params p_;
   MessageType cell_stream_ = 0;
   std::vector<traffic::CellArrival> pending_;
-  std::vector<TimedMessage> responses_;
   BoardCellStream::Result totals_;
-  std::function<void(BoardBackend&, SimTime)> finish_hook_;
   SimTime now_;
 };
 

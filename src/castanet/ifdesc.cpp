@@ -166,7 +166,7 @@ std::string InterfaceDesc::to_text() const {
 // ---------------------------------------------------------------------------
 
 GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
-                                       CosimEntity& entity,
+                                       RtlBackend& backend,
                                        const InterfaceDesc& desc,
                                        MessageType base_type) {
   desc.validate();
@@ -184,10 +184,10 @@ GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
         if (pd.lane_bytes == 1) {
           e->driver = std::make_unique<hw::CellPortDriver>(
               hdl, prefix + ".drv", clk, e->port.lane);
-          entity.register_input(e->type, pd.delta_cycles,
-                                [e](const TimedMessage& m) {
-                                  e->driver->enqueue(*m.cell);
-                                });
+          backend.register_input(e->type, pd.delta_cycles,
+                                 [e](const TimedMessage& m) {
+                                   e->driver->enqueue(*m.cell);
+                                 });
         } else {
           // Replace the 8-bit lane with one of the requested width before
           // elaborating the driver.
@@ -197,16 +197,16 @@ GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
           e->wide_driver = std::make_unique<WideLaneDriver>(
               hdl, prefix + ".drv", clk, e->port.lane.data,
               e->port.lane.sync, e->port.lane.valid, pd.lane_bytes);
-          entity.register_input(e->type, pd.delta_cycles,
-                                [e](const TimedMessage& m) {
-                                  e->wide_driver->enqueue(*m.cell);
-                                });
+          backend.register_input(e->type, pd.delta_cycles,
+                                 [e](const TimedMessage& m) {
+                                   e->wide_driver->enqueue(*m.cell);
+                                 });
         }
         break;
       }
       case PortKind::kSerialOut: {
         e->port.lane = hw::make_cell_port(hdl, prefix);
-        CosimEntity* ent = &entity;
+        RtlBackend* ent = &backend;
         const MessageType t = e->type;
         if (pd.lane_bytes == 1) {
           e->monitor = std::make_unique<hw::CellPortMonitor>(
@@ -253,7 +253,7 @@ GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
         rtl::Bus data = e->port.data;
         rtl::Signal valid = e->port.valid;
         rtl::Simulator* sim = &hdl;
-        entity.register_input(
+        backend.register_input(
             e->type, pd.delta_cycles,
             [sim, data, valid](const TimedMessage& m) {
               require(!m.words.empty(),
@@ -273,7 +273,7 @@ GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
                                     rtl::Logic::L0));
         e->port.valid = rtl::Signal(
             &hdl, hdl.create_signal(prefix + ".valid", 1, rtl::Logic::L0));
-        CosimEntity* ent = &entity;
+        RtlBackend* ent = &backend;
         const MessageType t = e->type;
         rtl::Bus data = e->port.data;
         rtl::Signal valid = e->port.valid;

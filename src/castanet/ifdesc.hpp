@@ -10,7 +10,7 @@
 // This module implements exactly that: a small declarative interface
 // description (parsable from text), validated, from which build() generates
 // the complete co-simulation glue for a DUT — signals, lane drivers and
-// monitors, bus masters — and wires it to a CosimEntity, so a new device is
+// monitors, bus masters — and wires it to an RtlBackend, so a new device is
 // integrated by writing a description instead of hand-written conversion
 // code.
 //
@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "src/castanet/entity.hpp"
+#include "src/castanet/backend.hpp"
 #include "src/castanet/mapping.hpp"
 #include "src/hw/cell_port.hpp"
 
@@ -85,16 +85,16 @@ struct GeneratedPort {
 };
 
 /// A generated co-simulation interface: all drivers/monitors/bus masters
-/// for one DUT, with inbound ports registered on the entity under
+/// for one DUT, with inbound ports registered on the backend under
 /// consecutive message types and outbound ports reporting responses.
 class GeneratedInterface {
  public:
   /// Builds the interface on `hdl`, clocked by `clk`, registering inbound
-  /// ports with `entity` starting at message type `base_type` (in port
+  /// ports with `backend` starting at message type `base_type` (in port
   /// declaration order; outbound ports respond with their own types, also
   /// in declaration order after the inbound ones).
   GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
-                     CosimEntity& entity, const InterfaceDesc& desc,
+                     RtlBackend& backend, const InterfaceDesc& desc,
                      MessageType base_type = 0);
 
   const GeneratedPort& port(const std::string& name) const;

@@ -3,9 +3,11 @@
 // "Communication between both simulators is based on the exchange of
 // time-stamped messages updating the receiving simulator with the current
 // simulation time of the originator" (§3.1).  In the paper the transport is
-// UNIX IPC (to VSS) or the SCSI bus (to the test board); here both ends live
-// in one process, so MessageChannel is an in-process queue with modeled
-// per-message transport overhead accounted for the benches.
+// UNIX IPC (to VSS) or the SCSI bus (to the test board).  Here one
+// MessageTransport carries the gateway's messages to the session, with
+// modeled per-message transport overhead accounted for the benches; the
+// responses travel back through each backend's response buffer
+// (DutBackend::drain_responses), not through a channel.
 #pragma once
 
 #include <cstdint>

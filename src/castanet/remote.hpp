@@ -41,26 +41,21 @@ enum class RemoteOp : std::uint8_t {
 };
 
 /// Session-side proxy for a backend hosted behind `pipe`.  Declare the same
-/// inputs (type, δ) the hosted backend declares — the mirror sync must see
-/// the protocol the host sees.
+/// inputs (type, δ) with declare_input() that the hosted backend declares —
+/// the mirror sync must see the protocol the host sees.
 class RemoteBackend final : public DutBackend {
  public:
   RemoteBackend(std::string name, ConservativeSync::Params sync_params,
                 std::unique_ptr<transport::FramePipe> pipe);
   ~RemoteBackend() override;
 
-  /// Mirrors the hosted backend's declare_input/register_input calls.
-  void declare_input(MessageType type, std::uint64_t delta_cycles);
-
   /// Sends kShutdown and closes the pipe (idempotent; also run by the
   /// destructor).  After this every protocol call throws.
   void shutdown();
 
-  ConservativeSync& sync() override { return sync_; }
   SimTime now() const override { return now_; }
   void push(const TimedMessage& m) override;
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
 
   std::uint64_t round_trips() const { return round_trips_; }
 
@@ -68,13 +63,11 @@ class RemoteBackend final : public DutBackend {
   void advance_to(SimTime target) override;
 
  private:
-  /// Reads host frames until kDone, buffering kResponse payloads.  Throws
-  /// ProtocolError on kError or a dead pipe.
+  /// Reads host frames until kDone, buffering kResponse payloads as this
+  /// backend's responses.  Throws ProtocolError on kError or a dead pipe.
   void wait_done(const char* what);
 
-  ConservativeSync sync_;
   std::unique_ptr<transport::FramePipe> pipe_;
-  std::vector<TimedMessage> responses_;
   SimTime now_;
   std::uint64_t round_trips_ = 0;
   bool down_ = false;

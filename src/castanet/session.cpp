@@ -67,7 +67,6 @@ void VerificationSession::run_until(SimTime limit) {
 
 void VerificationSession::assign_tracks() {
   if (!telemetry::enabled()) {
-    fanout_timing_ = nullptr;
     compare_timing_ = nullptr;
     return;
   }
@@ -75,7 +74,6 @@ void VerificationSession::assign_tracks() {
   for (DutBackend* b : backends_)
     b->set_telemetry_track(hub.track("backend:" + b->name()));
   net_.scheduler().set_telemetry_track(hub.track("net"));
-  fanout_timing_ = &hub.timing("session.fanout_batch");
   compare_timing_ = &hub.timing("session.compare_ns");
 }
 
@@ -85,8 +83,6 @@ void VerificationSession::publish_metrics() const {
   hub.publish_count("session.net_events", s.net_events);
   hub.publish_count("session.messages_to_hdl", s.messages_to_hdl);
   hub.publish_count("session.responses", s.responses);
-  hub.publish_count("session.fanout_batches", s.fanout_batches);
-  hub.publish_count("session.fanout_messages", s.fanout_messages);
   hub.publish_count("session.divergences", comparator_.divergences().size());
   // Calendar-queue health for the network-side event list (dsim.wheel.*).
   net_.scheduler().publish_telemetry();
@@ -212,24 +208,7 @@ void VerificationSession::run_until_serial(SimTime limit) {
     if (next > limit) break;
     net_.scheduler().step();
     ++net_events_;
-
-    msg_scratch_.clear();
-    while (auto m = from_gateway_->receive())
-      msg_scratch_.push_back(std::move(*m));
-    if (!msg_scratch_.empty()) {
-      ++fanout_batches_;
-      fanout_messages_ += msg_scratch_.size();
-      if (telemetry::enabled() && fanout_timing_)
-        fanout_timing_->record(static_cast<double>(msg_scratch_.size()));
-    }
-    const TimedMessage clock = make_time_update(net_.now());
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      DutBackend& b = *backends_[i];
-      for (const TimedMessage& m : msg_scratch_) b.push(m);
-      b.push(clock);
-      b.catch_up(limit);
-      drain_backend(i, /*in_run=*/true);
-    }
+    feed_backends(net_.now(), limit);
   }
   // Final catch-up: grant every backend the rest of the horizon.  Responses
   // scheduled back into the network may create new events, so iterate until
@@ -237,19 +216,23 @@ void VerificationSession::run_until_serial(SimTime limit) {
   for (;;) {
     net_.scheduler().advance_to(
         std::min(limit, net_.scheduler().next_event_time()));
-    msg_scratch_.clear();
-    while (auto m = from_gateway_->receive())
-      msg_scratch_.push_back(std::move(*m));
-    const TimedMessage horizon = make_time_update(limit);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      DutBackend& b = *backends_[i];
-      for (const TimedMessage& m : msg_scratch_) b.push(m);
-      b.push(horizon);
-      b.catch_up(limit);
-      drain_backend(i, /*in_run=*/true);
-    }
+    feed_backends(limit, limit);
     if (net_.scheduler().next_event_time() > limit) break;
     net_.run_until(limit);
+  }
+}
+
+void VerificationSession::feed_backends(SimTime clock, SimTime limit) {
+  msg_scratch_.clear();
+  while (auto m = from_gateway_->receive())
+    msg_scratch_.push_back(std::move(*m));
+  const TimedMessage update = make_time_update(clock);
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    DutBackend& b = *backends_[i];
+    for (const TimedMessage& m : msg_scratch_) b.push(m);
+    b.push(update);
+    b.catch_up(limit);
+    drain_backend(i, /*in_run=*/true);
   }
 }
 
@@ -257,8 +240,6 @@ VerificationSession::Stats VerificationSession::stats() const {
   Stats s;
   s.net_events = net_events_;
   s.messages_to_hdl = from_gateway_->messages_sent();
-  s.fanout_batches = fanout_batches_;
-  s.fanout_messages = fanout_messages_;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     const DutBackend& b = *backends_[i];
     BackendStats bs;

@@ -26,8 +26,8 @@
 //
 // The two-party setup of Fig. 2 is one RtlBackend attached to a session:
 //
-//   RtlBackend rtl("rtl", hdl, sync_params,
-//                  MessageChannel::Params{ipc_overhead});
+//   RtlBackend rtl("rtl", hdl, sync_params);
+//   rtl.register_input(type, delta_cycles, apply);
 //   VerificationSession session(net, node, streams, session_params);
 //   session.attach(rtl);
 #pragma once
@@ -128,14 +128,16 @@ class VerificationSession {
     std::uint64_t net_events = 0;
     std::uint64_t messages_to_hdl = 0;  ///< gateway -> backends (fanned out)
     std::uint64_t responses = 0;        ///< sum over backends
-    std::uint64_t fanout_batches = 0;   ///< events that fanned messages out
-    std::uint64_t fanout_messages = 0;  ///< messages inside them
     std::vector<BackendStats> backends;
   };
   Stats stats() const;
 
  private:
   void run_until_serial(SimTime limit);
+  /// Pushes the gateway's pending messages and then a time update to
+  /// `clock` into every backend, catches each up to `limit` and drains its
+  /// responses.
+  void feed_backends(SimTime clock, SimTime limit);
   void finish_backends(SimTime limit);
 
   // Telemetry (no-ops while the hub is disabled).
@@ -159,13 +161,10 @@ class VerificationSession {
   std::uint64_t net_events_ = 0;
   std::vector<std::uint64_t> responses_drained_;
   std::size_t divergences_seen_ = 0;  ///< comparator count already traced
-  std::uint64_t fanout_batches_ = 0;
-  std::uint64_t fanout_messages_ = 0;
-  /// Hub-owned fan-out batch-size timing, cached while tracing (the handle
-  /// lives until Hub::reset(); re-fetched by assign_tracks each run).
-  telemetry::Timing* fanout_timing_ = nullptr;
   /// Wall-clock nanoseconds spent in SessionComparator::note_response —
   /// the distribution that proves the enqueue-time hashing amortization.
+  /// Hub-owned, cached while tracing (the handle lives until Hub::reset();
+  /// re-fetched by assign_tracks each run).
   telemetry::Timing* compare_timing_ = nullptr;
   std::vector<TimedMessage> msg_scratch_;
   std::vector<TimedMessage> resp_scratch_;

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -15,83 +16,6 @@ namespace castanet::transport {
 namespace {
 
 // ---------------------------------------------------------------------------
-// In-process pipe: two bounded frame queues shared by an endpoint pair.
-
-struct FrameQueue {
-  std::mutex mu;
-  std::condition_variable ready;
-  std::condition_variable space;
-  std::deque<std::vector<std::uint8_t>> frames;
-  std::size_t capacity = 256;
-  bool closed = false;
-};
-
-class InProcessEndpoint final : public FramePipe {
- public:
-  InProcessEndpoint(std::shared_ptr<FrameQueue> tx, std::shared_ptr<FrameQueue> rx)
-      : tx_(std::move(tx)), rx_(std::move(rx)) {}
-  ~InProcessEndpoint() override { close(); }
-
-  bool send_frame(const void* data, std::size_t len) override {
-    std::vector<std::uint8_t> frame(len);
-    if (len) std::memcpy(frame.data(), data, len);
-    {
-      std::unique_lock<std::mutex> lk(tx_->mu);
-      tx_->space.wait(lk, [&] {
-        return tx_->closed || tx_->frames.size() < tx_->capacity;
-      });
-      if (tx_->closed) return false;
-      tx_->frames.push_back(std::move(frame));
-    }
-    tx_->ready.notify_one();
-    ++sent_;
-    bytes_ += len;
-    return true;
-  }
-
-  RecvStatus recv_frame(std::vector<std::uint8_t>& out,
-                        int timeout_ms) override {
-    std::unique_lock<std::mutex> lk(rx_->mu);
-    const auto pred = [&] { return rx_->closed || !rx_->frames.empty(); };
-    if (timeout_ms < 0) {
-      rx_->ready.wait(lk, pred);
-    } else if (!rx_->ready.wait_for(lk, std::chrono::milliseconds(timeout_ms),
-                                    pred)) {
-      return RecvStatus::kTimeout;
-    }
-    if (rx_->frames.empty()) return RecvStatus::kClosed;
-    out = std::move(rx_->frames.front());
-    rx_->frames.pop_front();
-    lk.unlock();
-    rx_->space.notify_one();
-    ++received_;
-    return RecvStatus::kFrame;
-  }
-
-  void close() override {
-    for (auto& q : {tx_, rx_}) {
-      {
-        std::lock_guard<std::mutex> lk(q->mu);
-        q->closed = true;
-      }
-      q->ready.notify_all();
-      q->space.notify_all();
-    }
-  }
-
-  std::uint64_t frames_sent() const override { return sent_; }
-  std::uint64_t frames_received() const override { return received_; }
-  std::uint64_t bytes_sent() const override { return bytes_; }
-
- private:
-  std::shared_ptr<FrameQueue> tx_;
-  std::shared_ptr<FrameQueue> rx_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t bytes_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Socket pipe: length-prefixed frames over a stream socket.  The reader
 // keeps a reassembly buffer because SOCK_STREAM has no message boundaries.
 
@@ -101,7 +25,7 @@ class SocketEndpoint final : public FramePipe {
   ~SocketEndpoint() override { close(); }
 
   bool send_frame(const void* data, std::size_t len) override {
-    if (fd_ < 0) return false;
+    if (fd_ < 0 || len > kMaxFrameBytes) return false;
     std::uint8_t hdr[4];
     const std::uint32_t n = static_cast<std::uint32_t>(len);
     hdr[0] = static_cast<std::uint8_t>(n);
@@ -120,11 +44,25 @@ class SocketEndpoint final : public FramePipe {
     // Deadline-based: partial frames keep waiting within the original budget.
     const auto start = std::chrono::steady_clock::now();
     for (;;) {
-      if (std::size_t flen = 0; frame_complete(flen)) {
-        out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
-        buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
-        ++received_;
-        return RecvStatus::kFrame;
+      if (buf_.size() >= 4) {
+        const std::size_t flen = static_cast<std::size_t>(buf_[0]) |
+                                 (static_cast<std::size_t>(buf_[1]) << 8) |
+                                 (static_cast<std::size_t>(buf_[2]) << 16) |
+                                 (static_cast<std::size_t>(buf_[3]) << 24);
+        if (flen > kMaxFrameBytes) {
+          // A corrupt or hostile length prefix: nothing after it can be
+          // framed again, so drop the connection instead of buffering up
+          // to 4 GiB while waiting for the "frame" to complete.
+          close();
+          buf_.clear();
+          return RecvStatus::kClosed;
+        }
+        if (buf_.size() >= 4 + flen) {
+          out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
+          buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
+          ++received_;
+          return RecvStatus::kFrame;
+        }
       }
       if (fd_ < 0) return RecvStatus::kClosed;
       int wait_ms = -1;
@@ -169,15 +107,6 @@ class SocketEndpoint final : public FramePipe {
   int native_handle() const override { return fd_; }
 
  private:
-  bool frame_complete(std::size_t& len) const {
-    if (buf_.size() < 4) return false;
-    len = static_cast<std::size_t>(buf_[0]) |
-          (static_cast<std::size_t>(buf_[1]) << 8) |
-          (static_cast<std::size_t>(buf_[2]) << 16) |
-          (static_cast<std::size_t>(buf_[3]) << 24);
-    return buf_.size() >= 4 + len;
-  }
-
   bool write_all(const void* data, std::size_t len) {
     const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
     while (len > 0) {
@@ -200,16 +129,6 @@ class SocketEndpoint final : public FramePipe {
 };
 
 }  // namespace
-
-std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
-make_inprocess_pipe(std::size_t capacity) {
-  auto a = std::make_shared<FrameQueue>();
-  auto b = std::make_shared<FrameQueue>();
-  a->capacity = capacity == 0 ? 1 : capacity;
-  b->capacity = a->capacity;
-  return {std::make_unique<InProcessEndpoint>(a, b),
-          std::make_unique<InProcessEndpoint>(b, a)};
-}
 
 std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
 make_socket_pipe() {

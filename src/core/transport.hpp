@@ -1,17 +1,12 @@
 // Byte-frame transport between co-simulation endpoints.
 //
 // The paper couples OPNET and VSS as separate UNIX processes exchanging
-// time-stamped messages over IPC (§3.1); the reproduction originally
-// collapsed both ends into one process.  This header restores the seam: a
-// FramePipe is a reliable, ordered, bidirectional pipe of length-prefixed
-// binary frames, with two implementations —
-//
-//   InProcessPipe — a pair of bounded mutex/cv frame queues; both endpoints
-//                   live in one process (the default co-simulation setup,
-//                   and the loopback used by transport conformance tests).
-//   SocketPipe    — an AF_UNIX SOCK_STREAM socket; endpoints may live in
-//                   different processes (the session farm's worker protocol
-//                   and remote DutBackend hosting).
+// time-stamped messages over IPC (§3.1).  A FramePipe is that seam: a
+// reliable, ordered, bidirectional pipe of length-prefixed binary frames.
+// Its implementation is an AF_UNIX SOCK_STREAM socket (make_socket_pipe,
+// wrap_socket), whose endpoints may live in different processes — the
+// session farm's worker protocol and remote DutBackend hosting.  The
+// interface stays abstract so protocol code and tests can take any pipe.
 //
 // Frames are opaque bytes at this layer; castanet/wire.hpp defines the
 // message serialization on top.  Modeled transport latency is NOT accounted
@@ -20,15 +15,19 @@
 // never changes simulated time.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 namespace castanet::transport {
+
+/// Largest frame a pipe carries: far above the largest frames sent in
+/// practice (a 70,000-byte test frame; farm results with a telemetry
+/// snapshot take about 4 KB).  A length prefix above it is taken as a
+/// corrupt or hostile header.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{16} << 20;
 
 /// Result of one blocking receive attempt.
 enum class RecvStatus {
@@ -47,14 +46,16 @@ class FramePipe {
   FramePipe& operator=(const FramePipe&) = delete;
 
   /// Sends one frame; blocks until the peer (or the kernel buffer) accepted
-  /// it.  Returns false when the pipe is closed — the frame is dropped.
+  /// it.  Returns false when the pipe is closed or the frame is larger than
+  /// kMaxFrameBytes — the frame is dropped.
   virtual bool send_frame(const void* data, std::size_t len) = 0;
   bool send_frame(const std::vector<std::uint8_t>& frame) {
     return send_frame(frame.data(), frame.size());
   }
 
   /// Receives the next frame into `out` (replaced, not appended).  Blocks up
-  /// to `timeout_ms` milliseconds; negative means wait forever.
+  /// to `timeout_ms` milliseconds; negative means wait forever.  A length
+  /// prefix above kMaxFrameBytes closes this endpoint and yields kClosed.
   virtual RecvStatus recv_frame(std::vector<std::uint8_t>& out,
                                 int timeout_ms) = 0;
 
@@ -67,18 +68,12 @@ class FramePipe {
   virtual std::uint64_t bytes_sent() const = 0;
 
   /// OS-pollable handle (the socket fd), or -1 when this endpoint has none
-  /// (in-process pipes).  Lets a dispatcher poll() many pipes at once.
+  /// (closed).  Lets a dispatcher poll() many pipes at once.
   virtual int native_handle() const { return -1; }
 
  protected:
   FramePipe() = default;
 };
-
-/// Creates a connected in-process endpoint pair.  `capacity` bounds the
-/// number of queued frames per direction (back-pressure: send blocks on a
-/// full queue).
-std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
-make_inprocess_pipe(std::size_t capacity = 256);
 
 /// Creates a connected AF_UNIX SOCK_STREAM endpoint pair (socketpair).
 /// Either endpoint may be carried across fork() into a child process; close

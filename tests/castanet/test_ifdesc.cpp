@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/core/error.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/cell_rx.hpp"
@@ -81,22 +84,28 @@ struct GeneratedRig {
   rtl::Signal clk{&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0)};
   rtl::Signal rst{&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0)};
   rtl::ClockGen clock{hdl, clk, SimTime::from_ns(50)};
-  MessageChannel from_net, to_net;
-  CosimEntity entity{hdl, from_net, to_net,
-                     ConservativeSync::Params{SyncPolicy::kGlobalOrder,
-                                              SimTime::from_ns(50)}};
+  RtlBackend rtl{"rtl", hdl,
+                 ConservativeSync::Params{SyncPolicy::kGlobalOrder,
+                                          SimTime::from_ns(50)}};
 
+  /// Announces network time `t` and grants the HDL side its window.
   void pump_to(SimTime t) {
-    from_net.send(make_time_update(t));
-    entity.pump();
-    entity.advance_hdl_to(entity.window() - SimTime::from_ps(1));
+    rtl.push(make_time_update(t));
+    rtl.catch_up(t);
+  }
+  /// The first response sent since the last call, if any.
+  std::optional<TimedMessage> first_response() {
+    std::vector<TimedMessage> out;
+    rtl.drain_responses(out);
+    if (out.empty()) return std::nullopt;
+    return out.front();
   }
 };
 
 TEST(GeneratedInterface, DrivesAccountingUnitFromDescription) {
   GeneratedRig rig;
   const InterfaceDesc desc = InterfaceDesc::parse(kAcctDesc);
-  GeneratedInterface gen(rig.hdl, rig.clk, rig.entity, desc);
+  GeneratedInterface gen(rig.hdl, rig.clk, rig.rtl, desc);
 
   // The DUT plugs into the generated signal bundles.
   hw::AccountingUnit acct(rig.hdl, "acct", rig.clk, rig.rst,
@@ -113,7 +122,7 @@ TEST(GeneratedInterface, DrivesAccountingUnitFromDescription) {
   c.header.vpi = 1;
   c.header.vci = 100;
   for (int i = 0; i < 5; ++i) {
-    rig.from_net.send(make_cell_message(
+    rig.rtl.push(make_cell_message(
         gen.type_of("cells"),
         SimTime::from_us(1) * static_cast<std::int64_t>(i + 1), c));
   }
@@ -125,7 +134,7 @@ TEST(GeneratedInterface, SerialOutRaisesResponses) {
   GeneratedRig rig;
   const InterfaceDesc desc = InterfaceDesc::parse(
       "interface echo\nserial_in in\nserial_out out\n");
-  GeneratedInterface gen(rig.hdl, rig.clk, rig.entity, desc);
+  GeneratedInterface gen(rig.hdl, rig.clk, rig.rtl, desc);
 
   // DUT: receiver wired straight into a transmitter (store-and-forward).
   hw::CellReceiver rx(rig.hdl, "rx", rig.clk, rig.rst, gen.port("in").lane);
@@ -143,12 +152,11 @@ TEST(GeneratedInterface, SerialOutRaisesResponses) {
   atm::Cell c;
   c.header.vpi = 3;
   c.header.vci = 33;
-  rig.from_net.send(
-      make_cell_message(gen.type_of("in"), SimTime::from_us(1), c));
+  rig.rtl.push(make_cell_message(gen.type_of("in"), SimTime::from_us(1), c));
   rig.pump_to(SimTime::from_us(30));
 
   // The generated monitor must have sent the echoed cell back.
-  const auto m = rig.to_net.receive();
+  const auto m = rig.first_response();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, gen.type_of("out"));
   ASSERT_TRUE(m->cell.has_value());
@@ -160,7 +168,7 @@ TEST(GeneratedInterface, ParallelPortsCarryWords) {
   const InterfaceDesc desc = InterfaceDesc::parse(
       "interface regs\nparallel_in cmd width=16 delta=1\n"
       "parallel_out status width=16\n");
-  GeneratedInterface gen(rig.hdl, rig.clk, rig.entity, desc);
+  GeneratedInterface gen(rig.hdl, rig.clk, rig.rtl, desc);
 
   // DUT: status <= cmd + 1, valid follows.
   rtl::Bus cmd = gen.port("cmd").data;
@@ -177,10 +185,10 @@ TEST(GeneratedInterface, ParallelPortsCarryWords) {
     }
   });
 
-  rig.from_net.send(make_word_message(gen.type_of("cmd"),
-                                      SimTime::from_us(1), {41}));
+  rig.rtl.push(
+      make_word_message(gen.type_of("cmd"), SimTime::from_us(1), {41}));
   rig.pump_to(SimTime::from_us(5));
-  const auto m = rig.to_net.receive();
+  const auto m = rig.first_response();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, gen.type_of("status"));
   ASSERT_EQ(m->words.size(), 1u);
@@ -189,7 +197,7 @@ TEST(GeneratedInterface, ParallelPortsCarryWords) {
 
 TEST(GeneratedInterface, UnknownPortNameThrows) {
   GeneratedRig rig;
-  GeneratedInterface gen(rig.hdl, rig.clk, rig.entity,
+  GeneratedInterface gen(rig.hdl, rig.clk, rig.rtl,
                          InterfaceDesc::parse("interface x\nserial_in a\n"));
   EXPECT_THROW(gen.port("b"), LogicError);
   EXPECT_THROW(gen.type_of("b"), LogicError);
@@ -199,7 +207,7 @@ TEST(GeneratedInterface, UnknownPortNameThrows) {
 TEST(GeneratedInterface, MessageTypesAssignedInDeclarationOrder) {
   GeneratedRig rig;
   GeneratedInterface gen(
-      rig.hdl, rig.clk, rig.entity,
+      rig.hdl, rig.clk, rig.rtl,
       InterfaceDesc::parse(
           "interface x\nserial_in a\nserial_out b\nparallel_in c width=8\n"),
       /*base_type=*/10);

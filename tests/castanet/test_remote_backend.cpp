@@ -6,6 +6,8 @@
 #include "src/castanet/remote.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -122,6 +124,21 @@ TEST(RemoteBackend, HostDeathSurfacesAsProtocolError) {
       },
       ProtocolError);
   flaky_host.join();
+}
+
+TEST(RemoteBackend, CorruptHostFrameSurfacesAsProtocolError) {
+  // A "host" whose reply starts with an impossible length prefix: the
+  // proxy must give up on the pipe, not wait for a 4 GiB frame.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint8_t header[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::write(fds[1], header, sizeof header), 4);
+
+  RemoteBackend proxy("proxy", sync_params(), transport::wrap_socket(fds[0]));
+  proxy.declare_input(kCellsIn, 2);
+  proxy.push(make_time_update(SimTime::from_us(10)));
+  EXPECT_THROW(proxy.catch_up(SimTime::from_us(10)), ProtocolError);
+  ::close(fds[1]);
 }
 
 TEST(RemoteBackend, HostSideExceptionPropagatesWithMessage) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/castanet/backend.hpp"
+#include "src/castanet/board_driver.hpp"
 #include "src/castanet/regression.hpp"
 #include "src/core/error.hpp"
 #include "src/hw/cell_bits.hpp"
@@ -161,13 +162,13 @@ struct SessionRig {
     net.connect(gen, 0, session.gateway(), 0);
     net.connect(session.gateway(), 0, *sink, 0);
 
-    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    rtl.register_input(0, 53, [this](const TimedMessage& m) {
       ASSERT_TRUE(m.cell.has_value());
       driver.enqueue(*m.cell);
     });
     hdl.add_process("respond", {rx.cell_valid.id()}, [this] {
       if (rx.cell_valid.rose()) {
-        rtl.entity().send_cell_response(
+        rtl.send_cell_response(
             0, hw::bits_to_cell(rx.cell_out.read(), false));
       }
     });
@@ -281,24 +282,46 @@ TEST(VerificationSession, ThreeBackendFanOutIsolatesTheLiar) {
 }
 
 TEST(VerificationSession, FinishHookResponsesReachComparator) {
-  // Counter-readback shape: both backends respond only from their finish
-  // hooks, after the horizon.
+  // Counter-readback shape: every backend responds only from its finish
+  // hook, after the horizon — two reference backends, the RTL path and the
+  // board path (whose hook runs after the last batch reached its device).
   netsim::Simulation net;
   netsim::Node& env = net.add_node("env");
   ReferenceBackend a("primary", sync_params());
   ReferenceBackend b("other", sync_params());
-  std::uint64_t count_a = 0, count_b = 0;
+  std::uint64_t count_a = 0, count_b = 0, count_rtl = 0;
   a.register_input(0, 1, [&](const TimedMessage&) { ++count_a; });
   b.register_input(0, 1, [&](const TimedMessage&) { ++count_b; });
-  a.set_finish_hook([&](ReferenceBackend& r, SimTime at) {
-    r.respond_words(0, at, {count_a});
+  a.set_finish_hook([&](SimTime at) { a.respond_words(0, at, {count_a}); });
+  b.set_finish_hook([&](SimTime at) {
+    b.respond_words(0, at, {count_b + 1});  // off-by-one "bug"
   });
-  b.set_finish_hook([&](ReferenceBackend& r, SimTime at) {
-    r.respond_words(0, at, {count_b + 1});  // off-by-one "bug"
+
+  rtl::Simulator hdl;
+  RtlBackend rtl("rtl", hdl, sync_params());
+  rtl.register_input(0, 1, [&](const TimedMessage&) { ++count_rtl; });
+  rtl.set_finish_hook(
+      [&](SimTime) { rtl.send_word_response(0, {count_rtl}); });
+
+  board::HardwareTestBoard board;
+  board.configure(make_cell_stream_config());
+  AccountingBoardDut dut = build_accounting_dut(8);
+  dut.unit->set_tariff(0, hw::Tariff{1, 0});
+  dut.unit->bind_connection({1, 100}, 0, 0);
+  dut.adapter->reset();
+  BoardBackend::Params bp;
+  bp.sync = sync_params();
+  BoardBackend brd("board", board, *dut.adapter, bp);
+  brd.register_cell_input(0, 1);
+  brd.set_finish_hook([&](SimTime at) {
+    brd.respond_words(0, at, {dut.unit->count(0)});
   });
+
   VerificationSession session(net, env, 1, {});
   session.attach(a);
   session.attach(b);
+  session.attach(rtl);
+  session.attach(brd);
   session.set_response_handler([](const TimedMessage&) {});
   auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
                                                   SimTime::from_us(5));
@@ -308,7 +331,13 @@ TEST(VerificationSession, FinishHookResponsesReachComparator) {
   session.run_until(SimTime::from_us(100));
   session.comparator().finish();
   EXPECT_EQ(count_a, 5u);
+  EXPECT_EQ(count_rtl, 5u);
+  EXPECT_EQ(dut.unit->count(0), 5u);  // the partial batch ran before the hook
+  for (const auto& bs : session.stats().backends)
+    EXPECT_EQ(bs.responses, 1u) << bs.name;
+  EXPECT_EQ(session.comparator().responses_matched(), 2u);
   ASSERT_EQ(session.comparator().divergences().size(), 1u);
+  EXPECT_EQ(session.comparator().divergences()[0].backend, 1u);
   EXPECT_NE(session.comparator().divergences()[0].detail.find("word 0"),
             std::string::npos);
 }
@@ -326,12 +355,119 @@ TEST(VerificationSession, AttachAfterRunRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// RtlBackend on its own (Fig. 2's co-simulation entity in the HDL
+// simulator), driven with push + catch_up instead of a session.
+
+struct RtlBackendRig {
+  rtl::Simulator hdl;
+  RtlBackend rtl{"rtl", hdl, sync_params()};
+
+  /// Grants every window the pushed stream allows.
+  void catch_up() { rtl.catch_up(SimTime::from_ms(1)); }
+  std::vector<TimedMessage> drain() {
+    std::vector<TimedMessage> out;
+    rtl.drain_responses(out);
+    return out;
+  }
+};
+
+TEST(RtlBackend, AppliesMessagesAtTheirTimeStamps) {
+  RtlBackendRig rig;
+  std::vector<std::pair<SimTime, std::uint64_t>> applied;
+  rig.rtl.register_input(0, 1, [&](const TimedMessage& m) {
+    applied.emplace_back(rig.hdl.now(), m.words[0]);
+  });
+  rig.rtl.push(make_word_message(0, SimTime::from_us(3), {30}));
+  rig.rtl.push(make_word_message(0, SimTime::from_us(7), {70}));
+  rig.rtl.push(make_time_update(SimTime::from_us(20)));
+  rig.catch_up();
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[0], std::make_pair(SimTime::from_us(3), std::uint64_t{30}));
+  EXPECT_EQ(applied[1], std::make_pair(SimTime::from_us(7), std::uint64_t{70}));
+  EXPECT_EQ(rig.hdl.now(), SimTime::from_us(20) - SimTime::from_ps(1));
+}
+
+TEST(RtlBackend, ResponsesCarryHdlTime) {
+  RtlBackendRig rig;
+  rig.rtl.register_input(0, 1, [&](const TimedMessage&) {
+    rig.rtl.send_word_response(5, {99});
+  });
+  rig.rtl.push(make_word_message(0, SimTime::from_us(2), {1}));
+  rig.rtl.push(make_time_update(SimTime::from_us(10)));
+  rig.catch_up();
+  const std::vector<TimedMessage> out = rig.drain();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].type, 5u);
+  EXPECT_EQ(out[0].timestamp, SimTime::from_us(2));  // applied at its stamp
+  EXPECT_EQ(out[0].words[0], 99u);
+  EXPECT_TRUE(rig.drain().empty());  // drained responses are gone
+}
+
+TEST(RtlBackend, CellResponsesPreserved) {
+  RtlBackendRig rig;
+  atm::Cell c;
+  c.header.vci = 11;
+  rig.rtl.send_cell_response(3, c);
+  const std::vector<TimedMessage> out = rig.drain();
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_TRUE(out[0].cell.has_value());
+  EXPECT_EQ(out[0].cell->header.vci, 11);
+}
+
+TEST(RtlBackend, UnregisteredTypeFaults) {
+  RtlBackendRig rig;
+  rig.rtl.register_input(0, 1, [](const TimedMessage&) {});
+  EXPECT_THROW(rig.rtl.push(make_word_message(9, SimTime::from_us(1), {1})),
+               ProtocolError);
+}
+
+TEST(RtlBackend, CatchUpBelowNowIsALookaheadStall) {
+  RtlBackendRig rig;
+  rig.rtl.register_input(0, 1, [](const TimedMessage&) {});
+  rig.rtl.push(make_time_update(SimTime::from_us(5)));
+  rig.rtl.catch_up(SimTime::from_us(4));
+  EXPECT_EQ(rig.hdl.now(), SimTime::from_us(4));
+  const std::uint64_t stalls = rig.rtl.sync().lookahead_stalls();
+  rig.rtl.catch_up(SimTime::from_us(1));  // behind: nothing granted
+  EXPECT_EQ(rig.hdl.now(), SimTime::from_us(4));
+  EXPECT_EQ(rig.rtl.sync().lookahead_stalls(), stalls + 1);
+}
+
+TEST(RtlBackend, WindowTracksOriginatorClock) {
+  RtlBackendRig rig;
+  rig.rtl.register_input(0, 1, [](const TimedMessage&) {});
+  EXPECT_EQ(rig.rtl.window(), SimTime::zero());
+  rig.rtl.push(make_time_update(SimTime::from_us(4)));
+  EXPECT_EQ(rig.rtl.window(), SimTime::from_us(4));
+}
+
+TEST(RtlBackend, ManyTypesInterleaved) {
+  RtlBackendRig rig;
+  std::vector<int> order;
+  for (MessageType t = 0; t < 4; ++t) {
+    rig.rtl.register_input(t, 1, [&order, t](const TimedMessage&) {
+      order.push_back(static_cast<int>(t));
+    });
+  }
+  // Interleave across types in increasing time.
+  for (int i = 0; i < 12; ++i) {
+    rig.rtl.push(make_word_message(
+        static_cast<MessageType>(i % 4),
+        SimTime::from_us(static_cast<std::int64_t>(i + 1)), {0}));
+  }
+  rig.rtl.push(make_time_update(SimTime::from_us(100)));
+  rig.catch_up();
+  ASSERT_EQ(order.size(), 12u);
+  for (int i = 0; i < 12; ++i)
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i % 4);
+}
+
+// ---------------------------------------------------------------------------
 // Two-party sessions: the Fig. 2 loop with one RTL backend.
 
 /// Traffic generator (network domain) -> gateway -> session -> co-simulation
 /// entity -> serial cell lane -> RTL cell receiver (the DUT) -> responses ->
-/// gateway -> sink.  The response channel carries the same modeled IPC cost
-/// as the gateway transport.
+/// gateway -> sink.
 struct RtlRig {
   netsim::Simulation net;
   rtl::Simulator hdl;
@@ -349,9 +485,7 @@ struct RtlRig {
 
   RtlRig(SyncPolicy policy, std::uint64_t cells, SimTime period,
          VerificationSession::Params sp = {})
-      : rtl("rtl", hdl, sync_params(policy),
-            MessageChannel::Params{sp.ipc_overhead_per_message}),
-        session(net, env, 1, sp) {
+      : rtl("rtl", hdl, sync_params(policy)), session(net, env, 1, sp) {
     session.attach(rtl);
     auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
                                                     period);
@@ -361,14 +495,14 @@ struct RtlRig {
     net.connect(gen, 0, session.gateway(), 0);
     net.connect(session.gateway(), 0, *sink, 0);
 
-    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    rtl.register_input(0, 53, [this](const TimedMessage& m) {
       ASSERT_TRUE(m.cell.has_value());
       driver.enqueue(*m.cell);
     });
     // DUT responses: every received cell back to the abstract level.
     hdl.add_process("respond", {rx.cell_valid.id()}, [this] {
       if (rx.cell_valid.rose()) {
-        rtl.entity().send_cell_response(
+        rtl.send_cell_response(
             0, hw::bits_to_cell(rx.cell_out.read(), false));
       }
     });
@@ -403,7 +537,7 @@ TEST(RtlSession, MessageCountsMatchTraffic) {
   RtlRig rig(SyncPolicy::kGlobalOrder, 15, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(300));
   EXPECT_EQ(rig.session.stats().messages_to_hdl, 15u);
-  EXPECT_EQ(rig.rtl.response_channel().messages_sent(), 15u);
+  EXPECT_EQ(rig.rtl_stats().responses, 15u);
   EXPECT_EQ(rig.session.gateway().forwarded(), 15u);
   EXPECT_EQ(rig.session.gateway().responses_emitted(), 15u);
 }
@@ -450,14 +584,12 @@ TEST(RtlSession, CustomResponseHandlerOverridesDefault) {
   }
 }
 
-TEST(RtlSession, IpcOverheadAccountedOnBothChannels) {
+TEST(RtlSession, IpcOverheadAccountedOnGatewayChannel) {
   VerificationSession::Params sp;
   sp.ipc_overhead_per_message = SimTime::from_us(1);
   RtlRig rig(SyncPolicy::kGlobalOrder, 10, SimTime::from_us(5), sp);
   rig.session.run_until(SimTime::from_us(200));
   EXPECT_EQ(rig.session.gateway_transport().transport_overhead(),
-            SimTime::from_us(10));
-  EXPECT_EQ(rig.rtl.response_channel().transport_overhead(),
             SimTime::from_us(10));
 }
 

@@ -48,13 +48,13 @@ struct TelemetryRig {
     net.connect(gen, 0, session.gateway(), 0);
     net.connect(session.gateway(), 0, *sink, 0);
 
-    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    rtl.register_input(0, 53, [this](const TimedMessage& m) {
       ASSERT_TRUE(m.cell.has_value());
       driver.enqueue(*m.cell);
     });
     hdl.add_process("respond", {rx.cell_valid.id()}, [this] {
       if (rx.cell_valid.rose()) {
-        rtl.entity().send_cell_response(
+        rtl.send_cell_response(
             0, hw::bits_to_cell(rx.cell_out.read(), false));
       }
     });
@@ -115,7 +115,6 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
   EXPECT_TRUE(snapshot_has(snap, "backend.rtl.queue_depth.0"));
   EXPECT_TRUE(snapshot_has(snap, "backend.reference.windows"));
   EXPECT_TRUE(snapshot_has(snap, "backend.reference.lag_seconds"));
-  EXPECT_TRUE(snapshot_has(snap, "session.fanout_batch"));
 
   const auto stats = rig.session.stats();
   ASSERT_EQ(stats.backends.size(), 2u);

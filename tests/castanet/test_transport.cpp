@@ -5,7 +5,10 @@
 #include "src/castanet/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -98,8 +101,7 @@ TEST_P(FramePipeConformance, CloseSurfacesAsClosed) {
   ASSERT_TRUE(a->send_frame(std::vector<std::uint8_t>{9}));
   a->close();
   std::vector<std::uint8_t> got;
-  // The in-process pipe lets the peer drain queued frames after close; the
-  // socket's shutdown() discards in-flight data on some kernels, so the
+  // The socket's shutdown() discards in-flight data on some kernels, so the
   // conformance contract is only: recv eventually reports kClosed, never
   // hangs, and a drained frame (if any) is intact.
   RecvStatus st = b->recv_frame(got, 1000);
@@ -114,11 +116,40 @@ TEST_P(FramePipeConformance, CloseSurfacesAsClosed) {
 INSTANTIATE_TEST_SUITE_P(
     Transports, FramePipeConformance,
     ::testing::Values(
-        std::make_pair("inprocess",
-                       PipeFactory([] { return transport::make_inprocess_pipe(); })),
         std::make_pair("socket",
                        PipeFactory([] { return transport::make_socket_pipe(); }))),
     [](const auto& info) { return std::string(info.param.first); });
+
+// ---------------------------------------------------------------------------
+// Hostile input: a corrupt length prefix must not make the reader buffer
+// every later byte while it waits for a 4 GiB "frame".
+
+TEST(SocketFramePipe, OversizedLengthPrefixClosesPromptly) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::unique_ptr<FramePipe> pipe = transport::wrap_socket(fds[0]);
+  const std::uint8_t header[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::write(fds[1], header, sizeof header), 4);
+  std::vector<std::uint8_t> got;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(pipe->recv_frame(got, 5000), RecvStatus::kClosed);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(pipe->native_handle(), -1);  // the endpoint closed itself
+  EXPECT_FALSE(pipe->send_frame(std::vector<std::uint8_t>{1}));
+  ::close(fds[1]);
+}
+
+TEST(SocketFramePipe, OversizedFrameIsNotSent) {
+  auto [a, b] = transport::make_socket_pipe();
+  const std::vector<std::uint8_t> huge(transport::kMaxFrameBytes + 1);
+  EXPECT_FALSE(a->send_frame(huge));
+  EXPECT_EQ(a->frames_sent(), 0u);
+  // Nothing reached the wire: the pipe still carries ordinary frames.
+  ASSERT_TRUE(a->send_frame(std::vector<std::uint8_t>{7}));
+  std::vector<std::uint8_t> got;
+  ASSERT_EQ(b->recv_frame(got, 1000), RecvStatus::kFrame);
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{7}));
+}
 
 // ---------------------------------------------------------------------------
 // MessageTransport conformance: identical fixture sequence over the

@@ -46,7 +46,7 @@ struct AccountingCosim {
     net.connect(gen, 0, session.gateway(), 0);
     // The accounting unit produces no cell stream; suppress responses.
     session.set_response_handler([](const TimedMessage&) {});
-    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    rtl.register_input(0, 53, [this](const TimedMessage& m) {
       driver.enqueue(*m.cell);
     });
   }
