@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     rtl::ClockGen clock(hdl, clk, kClk);
     std::vector<hw::GlobalControlUnit::InputIf> ifs;
     for (int p = 0; p < 4; ++p) {
-      const std::string nm = "i" + std::to_string(p);
+      const std::string nm = std::string("i").append(std::to_string(p));
       hw::GlobalControlUnit::InputIf f;
       f.req = rtl::Signal(&hdl, hdl.create_signal(nm, 1, rtl::Logic::L1));
       f.dest =

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/json.hpp"
 #include "src/core/telemetry.hpp"
 
 namespace castanet::bench {
@@ -55,15 +56,11 @@ class JsonReport {
 
   /// Starts a result row; subsequent metric() calls attach to it.
   void begin_row(std::string config) {
-    rows_.push_back(RowData{std::move(config), {}});
+    rows_.push_back(RowData{std::move(config), json::Value{json::Object{}}});
   }
-  void metric(const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    add(key, buf);
-  }
+  void metric(const char* key, double v) { add(key, v); }
   void metric(const char* key, std::uint64_t v) {
-    add(key, std::to_string(v));
+    add(key, static_cast<std::int64_t>(v));
   }
 
   /// Idempotent; also called by the destructor.
@@ -74,19 +71,18 @@ class JsonReport {
       std::fprintf(stderr, "JsonReport: cannot open %s\n", path_.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [",
-                 escape(bench_).c_str());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "%s\n    {\"config\": \"%s\", \"metrics\": {",
-                   r ? "," : "", escape(rows_[r].config).c_str());
-      for (std::size_t k = 0; k < rows_[r].kv.size(); ++k) {
-        std::fprintf(f, "%s\"%s\": %s", k ? ", " : "",
-                     escape(rows_[r].kv[k].first).c_str(),
-                     rows_[r].kv[k].second.c_str());
-      }
-      std::fprintf(f, "}}");
+    json::Value rows{json::Array{}};
+    for (const RowData& r : rows_) {
+      json::Value row{json::Object{}};
+      row.set("config", r.config);
+      row.set("metrics", r.metrics);
+      rows.push_back(std::move(row));
     }
-    std::fprintf(f, "\n  ]\n}\n");
+    json::Value doc{json::Object{}};
+    doc.set("bench", bench_);
+    doc.set("rows", std::move(rows));
+    const std::string text = doc.dump(2) + "\n";
+    std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     written_ = true;
   }
@@ -94,21 +90,12 @@ class JsonReport {
  private:
   struct RowData {
     std::string config;
-    std::vector<std::pair<std::string, std::string>> kv;
+    json::Value metrics;  ///< object of metric name -> number
   };
 
-  void add(const char* key, std::string rendered) {
+  void add(const char* key, json::Value v) {
     if (rows_.empty()) begin_row("default");
-    rows_.back().kv.emplace_back(key, std::move(rendered));
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
+    rows_.back().metrics.set(key, std::move(v));
   }
 
   std::string bench_;
@@ -147,7 +134,7 @@ class TelemetryCli {
                    trace_path_.c_str());
     if (!metrics_path_.empty()) {
       if (std::FILE* f = std::fopen(metrics_path_.c_str(), "w")) {
-        const std::string json = hub.snapshot().to_json();
+        const std::string json = hub.snapshot().to_json().dump(2) + "\n";
         std::fwrite(json.data(), 1, json.size(), f);
         std::fclose(f);
       } else {

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
       return 1;
     }
-    mf << telemetry::Hub::instance().snapshot().to_json();
+    mf << telemetry::Hub::instance().snapshot().to_json().dump(2) << "\n";
     std::printf("metrics written ........ %s\n", metrics_path.c_str());
   }
   return cmp.clean() && flows_ok ? 0 : 1;

@@ -84,7 +84,7 @@ echo "metrics schema OK: $METRICS_SMOKE"
 
 echo "== lint schema (castanet_lint --json, --validate round-trip)"
 # Same contract as the metrics schema gate above, for the lint report
-# format: the --json document must survive from_json/to_json_value with
+# format: the --json document must survive from_json/to_json with
 # structural identity (key order, summary counts, suppressed total).
 LINT_JSON="$BUILD/lint_report.json"
 "$BUILD/tools/castanet_lint" --design all --json > "$LINT_JSON"

@@ -269,37 +269,6 @@ PoolStats fork_map(
 
 namespace {
 
-std::vector<std::uint8_t> encode_result(const SessionResult& r) {
-  wire::Writer w;
-  w.str(r.id);
-  w.u8(r.ok ? 1 : 0);
-  w.str(r.error);
-  w.u64(r.responses);
-  w.u64(r.divergences);
-  w.u64(r.digest);
-  w.u64(static_cast<std::uint64_t>(r.wall_seconds * 1e9));
-  w.str(r.detail);
-  w.u8(r.has_metrics ? 1 : 0);
-  if (r.has_metrics) wire::encode_snapshot(w, r.metrics);
-  return w.take();
-}
-
-SessionResult decode_result(const std::vector<std::uint8_t>& bytes) {
-  wire::Reader r(bytes);
-  SessionResult out;
-  out.id = r.str();
-  out.ok = r.u8() != 0;
-  out.error = r.str();
-  out.responses = r.u64();
-  out.divergences = r.u64();
-  out.digest = r.u64();
-  out.wall_seconds = static_cast<double>(r.u64()) * 1e-9;
-  out.detail = r.str();
-  out.has_metrics = r.u8() != 0;
-  if (out.has_metrics) out.metrics = wire::decode_snapshot(r);
-  return out;
-}
-
 /// Rewrites the spec's per-session output paths (trace_out, metrics_out) so
 /// concurrent sessions never share a file (the satellite fix for
 /// --trace-out collisions, extended to the metrics exports).
@@ -333,6 +302,46 @@ SessionResult run_one(const SessionSpec& spec, const SessionRunner& runner) {
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> encode_result(const SessionResult& r) {
+  wire::Writer w;
+  w.str(r.id);
+  w.u8(r.ok ? 1 : 0);
+  w.str(r.error);
+  w.u64(r.responses);
+  w.u64(r.divergences);
+  w.u64(r.digest);
+  w.u64(static_cast<std::uint64_t>(r.wall_seconds * 1e9));
+  w.str(r.detail);
+  w.u8(r.has_metrics ? 1 : 0);
+  if (r.has_metrics) w.str(r.metrics.to_json().dump());
+  return w.take();
+}
+
+SessionResult decode_result(const std::vector<std::uint8_t>& frame) {
+  wire::Reader r(frame);
+  SessionResult out;
+  out.id = r.str();
+  out.ok = r.u8() != 0;
+  out.error = r.str();
+  out.responses = r.u64();
+  out.divergences = r.u64();
+  out.digest = r.u64();
+  out.wall_seconds = static_cast<double>(r.u64()) * 1e-9;
+  out.detail = r.str();
+  out.has_metrics = r.u8() != 0;
+  if (out.has_metrics) {
+    const std::string metrics = r.str();
+    try {
+      out.metrics = telemetry::MetricsSnapshot::from_json(json::parse(metrics));
+    } catch (const Error& e) {
+      throw ProtocolError(std::string("farm: bad metrics in result frame: ") +
+                          e.what());
+    }
+  }
+  if (!r.done()) throw ProtocolError("farm: trailing bytes after result");
+  return out;
+}
 
 bool FarmReport::all_ok() const {
   for (const SessionResult& r : results) {
@@ -369,7 +378,7 @@ json::Value FarmReport::to_json() const {
     v.set("sessions_with_metrics",
           static_cast<std::int64_t>(sessions_with_metrics));
     v.set("heartbeats", static_cast<std::int64_t>(heartbeats));
-    v.set("metrics", metrics.to_json_value());
+    v.set("metrics", metrics.to_json());
   }
   return v;
 }

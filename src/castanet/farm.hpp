@@ -67,6 +67,13 @@ struct SessionResult {
   telemetry::MetricsSnapshot metrics;
 };
 
+/// The result frame a worker ships to the parent (canonical wire fields;
+/// the snapshot, when present, as one MetricsSnapshot::to_json() string).
+std::vector<std::uint8_t> encode_result(const SessionResult& r);
+/// Inverse of encode_result.  Throws ProtocolError on a truncated frame,
+/// trailing bytes, or a metrics field that is not a snapshot document.
+SessionResult decode_result(const std::vector<std::uint8_t>& frame);
+
 /// Executes one session spec.  Runs inside a worker process (or inline for
 /// run_serial); must be deterministic in the spec.  Exceptions become
 /// failed results.

@@ -23,6 +23,31 @@ void RegressionSuite::add_case(RegressionCase c) {
   cases_.push_back(std::move(c));
 }
 
+namespace {
+
+/// Judges `actual` against the cells `cmp` already expects, in order, and
+/// against every expected counter by name (a counter `actual` lacks reads
+/// as all-ones), then fills the verdict fields of `report`.
+void judge(ResponseComparator& cmp,
+           const std::map<std::string, std::uint64_t>& expected_counters,
+           const CaseResult& actual, CaseReport& report) {
+  for (const atm::Cell& cell : actual.output) cmp.actual(cell);
+  std::uint64_t id = 0;
+  for (const auto& [name, want] : expected_counters) {
+    auto it = actual.counters.find(name);
+    cmp.compare_value(id++, want,
+                      it == actual.counters.end() ? ~std::uint64_t{0}
+                                                  : it->second,
+                      name);
+  }
+  cmp.finish();
+  report.passed = cmp.clean();
+  report.mismatches = cmp.mismatches().size();
+  if (!report.passed) report.detail = cmp.report();
+}
+
+}  // namespace
+
 std::vector<CaseReport> RegressionSuite::run(
     const DeviceBinding& device) const {
   std::vector<CaseReport> reports;
@@ -41,19 +66,7 @@ std::vector<CaseReport> RegressionSuite::run(
     }
     ResponseComparator cmp;
     for (const auto& a : c.golden_output.arrivals()) cmp.expect(a.cell);
-    for (const atm::Cell& cell : result.output) cmp.actual(cell);
-    std::uint64_t id = 0;
-    for (const auto& [name, want] : c.golden_counters) {
-      auto it = result.counters.find(name);
-      cmp.compare_value(id++, want,
-                        it == result.counters.end() ? ~std::uint64_t{0}
-                                                    : it->second,
-                        name);
-    }
-    cmp.finish();
-    report.passed = cmp.clean();
-    report.mismatches = cmp.mismatches().size();
-    if (!report.passed) report.detail = cmp.report();
+    judge(cmp, c.golden_counters, result, report);
     reports.push_back(std::move(report));
   }
   return reports;
@@ -94,19 +107,7 @@ std::vector<CaseReport> cross_run_case(
     }
     ResponseComparator cmp;
     for (const atm::Cell& cell : primary.output) cmp.expect(cell);
-    for (const atm::Cell& cell : result.output) cmp.actual(cell);
-    std::uint64_t id = 0;
-    for (const auto& [name, want] : primary.counters) {
-      auto it = result.counters.find(name);
-      cmp.compare_value(id++, want,
-                        it == result.counters.end() ? ~std::uint64_t{0}
-                                                    : it->second,
-                        name);
-    }
-    cmp.finish();
-    report.passed = cmp.clean();
-    report.mismatches = cmp.mismatches().size();
-    if (!report.passed) report.detail = cmp.report();
+    judge(cmp, primary.counters, result, report);
     reports.push_back(std::move(report));
   }
   return reports;

@@ -33,8 +33,8 @@ TransportKind transport_kind_from_string(const std::string& s);
 
 /// MessageTransport carried over a FramePipe pair: send() encodes the
 /// message with the canonical wire format and writes one frame; receive()
-/// reads frames and decodes.  The default constructor builds an AF_UNIX
-/// socketpair loopback — both endpoints owned by this object, every message
+/// reads frames and decodes.  The constructor builds an AF_UNIX socketpair
+/// loopback — both endpoints owned by this object, every message
 /// round-trips through real kernel socket buffers and the real serializer,
 /// which is exactly what the conformance suite wants to exercise against
 /// MessageChannel.
@@ -55,11 +55,6 @@ class SocketMessageTransport final : public MessageTransport {
 
   /// Loopback over a fresh AF_UNIX socketpair.  Throws IoError on failure.
   explicit SocketMessageTransport(Params p = {});
-  /// Wraps explicit pipe endpoints (e.g. across a fork(): the parent keeps
-  /// the tx side, the child the rx side; pass nullptr for the absent
-  /// direction).
-  SocketMessageTransport(Params p, std::unique_ptr<transport::FramePipe> tx,
-                         std::unique_ptr<transport::FramePipe> rx);
   ~SocketMessageTransport() override;
 
   void send(TimedMessage m) override;

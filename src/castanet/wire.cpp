@@ -24,7 +24,7 @@ void Writer::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
   // Canonicalize NaN payloads: any NaN becomes the quiet NaN, so encoding a
-  // decoded frame (or two shards that both computed "empty") is byte-equal.
+  // decoded frame is byte-equal.
   if (v != v) bits = 0x7ff8000000000000ull;
   u64(bits);
 }
@@ -159,98 +159,6 @@ TimedMessage decode_message(const std::vector<std::uint8_t>& frame) {
   TimedMessage m = decode_message(r);
   if (!r.done()) throw ProtocolError("wire: trailing bytes after message");
   return m;
-}
-
-namespace {
-constexpr std::uint8_t kSnapshotVersion = 1;
-/// Smallest encoded metric row: empty name (u32 length), kind (u8), count
-/// (u64) and four f64s.
-constexpr std::size_t kMinRowBytes = 4 + 1 + 8 + 4 * 8;
-/// One histogram bucket: index (u32) and count (u64).
-constexpr std::size_t kBucketBytes = 4 + 8;
-}  // namespace
-
-void encode_snapshot(Writer& w, const telemetry::MetricsSnapshot& snap) {
-  w.u8(kSnapshotVersion);
-  w.u32(static_cast<std::uint32_t>(snap.rows.size()));
-  for (const telemetry::MetricRow& r : snap.rows) {
-    w.str(r.name);
-    w.u8(static_cast<std::uint8_t>(r.kind));
-    w.u64(r.count);
-    w.f64(r.sum);
-    w.f64(r.min);
-    w.f64(r.max);
-    w.f64(r.last);
-    if (r.kind == telemetry::MetricRow::Kind::kHistogram) {
-      w.u64(r.hist.zero_count());
-      const auto buckets = r.hist.nonzero_buckets();
-      w.u32(static_cast<std::uint32_t>(buckets.size()));
-      for (const auto& [i, c] : buckets) {
-        w.u32(static_cast<std::uint32_t>(i));
-        w.u64(c);
-      }
-    }
-  }
-  w.u64(snap.trace_events);
-  w.u64(snap.trace_dropped);
-}
-
-std::vector<std::uint8_t> encode_snapshot(
-    const telemetry::MetricsSnapshot& snap) {
-  Writer w;
-  encode_snapshot(w, snap);
-  return w.take();
-}
-
-telemetry::MetricsSnapshot decode_snapshot(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version != kSnapshotVersion) {
-    throw ProtocolError("wire: unknown snapshot frame version");
-  }
-  telemetry::MetricsSnapshot snap;
-  const std::uint32_t nrows = r.u32();
-  check_count(r, nrows, kMinRowBytes, "metric row");
-  snap.rows.reserve(nrows);
-  for (std::uint32_t i = 0; i < nrows; ++i) {
-    telemetry::MetricRow row;
-    row.name = r.str();
-    const std::uint8_t kind = r.u8();
-    if (kind >
-        static_cast<std::uint8_t>(telemetry::MetricRow::Kind::kHistogram)) {
-      throw ProtocolError("wire: unknown metric kind in snapshot frame");
-    }
-    row.kind = static_cast<telemetry::MetricRow::Kind>(kind);
-    row.count = r.u64();
-    row.sum = r.f64();
-    row.min = r.f64();
-    row.max = r.f64();
-    row.last = r.f64();
-    if (row.kind == telemetry::MetricRow::Kind::kHistogram) {
-      const std::uint64_t zero = r.u64();
-      const std::uint32_t nbuckets = r.u32();
-      check_count(r, nbuckets, kBucketBytes, "histogram bucket");
-      std::vector<std::pair<int, std::uint64_t>> buckets;
-      buckets.reserve(nbuckets);
-      for (std::uint32_t b = 0; b < nbuckets; ++b) {
-        const std::uint32_t idx = r.u32();
-        buckets.emplace_back(static_cast<int>(idx), r.u64());
-      }
-      row.hist = Log2Histogram::from_parts(row.count, row.sum, row.min,
-                                           row.max, zero, buckets);
-    }
-    snap.rows.push_back(std::move(row));
-  }
-  snap.trace_events = r.u64();
-  snap.trace_dropped = r.u64();
-  return snap;
-}
-
-telemetry::MetricsSnapshot decode_snapshot(
-    const std::vector<std::uint8_t>& frame) {
-  Reader r(frame);
-  telemetry::MetricsSnapshot snap = decode_snapshot(r);
-  if (!r.done()) throw ProtocolError("wire: trailing bytes after snapshot");
-  return snap;
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t seed) {

@@ -7,6 +7,9 @@
 // reproduces the original bytes exactly, which is what lets the transport
 // conformance suite assert byte-identical results across in-process and
 // socket transports, and what makes the farm's result digests meaningful.
+// Telemetry snapshots have no binary form here: a farm result frame carries
+// one as a JSON string field (MetricsSnapshot::to_json), read back with
+// MetricsSnapshot::from_json like every other report.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +18,6 @@
 #include <vector>
 
 #include "src/castanet/message.hpp"
-#include "src/core/telemetry.hpp"
 
 namespace castanet::cosim::wire {
 
@@ -71,17 +73,6 @@ void encode_message(Writer& w, const TimedMessage& m);
 std::vector<std::uint8_t> encode_message(const TimedMessage& m);
 TimedMessage decode_message(Reader& r);
 TimedMessage decode_message(const std::vector<std::uint8_t>& frame);
-
-/// Serializes one telemetry snapshot (the farm workers ship their final Hub
-/// state to the parent through this).  Versioned frame; canonical like the
-/// message encoding (sorted rows in, sorted rows out; NaN normalized), so
-/// digests of snapshot frames are meaningful too.
-void encode_snapshot(Writer& w, const telemetry::MetricsSnapshot& snap);
-std::vector<std::uint8_t> encode_snapshot(
-    const telemetry::MetricsSnapshot& snap);
-telemetry::MetricsSnapshot decode_snapshot(Reader& r);
-telemetry::MetricsSnapshot decode_snapshot(
-    const std::vector<std::uint8_t>& frame);
 
 /// FNV-1a 64-bit over `data` — the content digest used by the session
 /// comparator's enqueue-time hashing and the farm's result digests.

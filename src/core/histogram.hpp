@@ -14,8 +14,8 @@
 // tracked sample-exactly alongside the buckets.
 //
 // The class is single-writer (component-owned stats: ConservativeSync lag,
-// per-flow cell latency); the telemetry Hub wraps the same bucketing in an
-// atomic handle (telemetry::HistogramMetric) for multi-threaded recording.
+// per-flow cell latency); owners publish it into the telemetry Hub at
+// quiescent points (Hub::publish_histogram).
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,26 @@
 #include "src/core/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "src/core/error.hpp"
 
 namespace castanet::json {
+
+Value::Value(double d) : kind_(Kind::kNumber), num_(d) {
+  // Only finite values inside the int64 range have an exact integer view;
+  // casting anything else to int64 is undefined.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isfinite(d) && d >= -kTwo63 && d < kTwo63) {
+    int_ = static_cast<std::int64_t>(d);
+    integral_ = static_cast<double>(int_) == d;
+  }
+}
 
 bool Value::as_bool() const {
   require(kind_ == Kind::kBool, "json: not a bool");
@@ -84,9 +96,7 @@ void Value::push_back(Value v) {
   arr_.push_back(std::move(v));
 }
 
-namespace {
-
-void escape_to(std::string& out, const std::string& s) {
+void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -108,6 +118,8 @@ void escape_to(std::string& out, const std::string& s) {
   out += '"';
 }
 
+namespace {
+
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out += '\n';
@@ -123,6 +135,8 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     case Kind::kNumber: {
       if (integral_) {
         out += std::to_string(int_);
+      } else if (!std::isfinite(num_)) {
+        out += "null";
       } else {
         char buf[32];
         std::snprintf(buf, sizeof buf, "%.17g", num_);
@@ -130,7 +144,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       }
       break;
     }
-    case Kind::kString: escape_to(out, str_); break;
+    case Kind::kString: append_quoted(out, str_); break;
     case Kind::kArray: {
       out += '[';
       for (std::size_t i = 0; i < arr_.size(); ++i) {
@@ -147,7 +161,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i) out += ',';
         newline_indent(out, indent, depth + 1);
-        escape_to(out, obj_[i].first);
+        append_quoted(out, obj_[i].first);
         out += indent > 0 ? ": " : ":";
         obj_[i].second.dump_to(out, indent, depth + 1);
       }
@@ -370,12 +384,20 @@ class Parser {
       fail("bad number");
     }
     const std::string tok = s_.substr(start, pos_ - start);
-    try {
-      if (integral) return Value(static_cast<std::int64_t>(std::stoll(tok)));
-      return Value(std::stod(tok));
-    } catch (const std::exception&) {
-      fail("number out of range: " + tok);
+    char* end = nullptr;
+    errno = 0;
+    if (integral) {
+      const long long i = std::strtoll(tok.c_str(), &end, 10);
+      if (end != tok.c_str() + tok.size()) fail("bad number: " + tok);
+      if (errno == ERANGE) fail("number out of range: " + tok);
+      return Value(static_cast<std::int64_t>(i));
     }
+    const double d = std::strtod(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size()) fail("bad number: " + tok);
+    // Underflow still yields the nearest double (a subnormal or zero);
+    // only overflow has no JSON-representable value.
+    if (errno == ERANGE && std::isinf(d)) fail("number out of range: " + tok);
+    return Value(d);
   }
 
   const std::string& s_;

@@ -1,17 +1,21 @@
 // Minimal JSON document model: parse + serialize, no external dependency.
 //
-// The session farm's experiment files (tsload-style `experiment.json`
-// parametrization) and its aggregated result reports need structured,
-// tool-readable input/output; the telemetry exporters already WRITE ad-hoc
-// JSON, this adds the READ side.  Scope is deliberately small: UTF-8 text,
-// no comments, numbers as double (plus an exact int64 view when the text
-// was integral), object key order preserved.
+// Every JSON document the project writes or reads goes through this one
+// model: experiment files, farm and run reports, metrics snapshots, lint
+// reports, bench results and the metrics field of farm result frames.  Write
+// with `to_json().dump()`, read back with `from_json(parse(...))`.  The
+// Chrome trace exporter keeps its own one-event-per-line writer (a trace
+// holds far too many events to build as a tree) but quotes its strings with
+// append_quoted below.  Scope is deliberately small: UTF-8 text, no
+// comments, numbers as double (plus an exact int64 view when the value is
+// integral), object key order preserved.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,7 +33,8 @@ class Value {
   Value() = default;
   Value(std::nullptr_t) {}                                        // NOLINT
   Value(bool b) : kind_(Kind::kBool), bool_(b) {}                 // NOLINT
-  Value(double d) : kind_(Kind::kNumber), num_(d), int_(static_cast<std::int64_t>(d)), integral_(static_cast<double>(static_cast<std::int64_t>(d)) == d) {}  // NOLINT
+  /// NaN and +-inf have no JSON literal: dump() writes them as null.
+  Value(double d);                                                // NOLINT
   Value(std::int64_t i) : kind_(Kind::kNumber), num_(static_cast<double>(i)), int_(i), integral_(true) {}  // NOLINT
   Value(int i) : Value(static_cast<std::int64_t>(i)) {}           // NOLINT
   Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}  // NOLINT
@@ -66,7 +71,9 @@ class Value {
   void push_back(Value v);                    ///< array only
 
   /// Compact serialization (stable: key order preserved, integral numbers
-  /// rendered without a decimal point).  `indent` > 0 pretty-prints.
+  /// rendered without a decimal point, other finite numbers with 17
+  /// significant digits so they parse back bit-exact).  `indent` > 0
+  /// pretty-prints.
   std::string dump(int indent = 0) const;
 
  private:
@@ -81,6 +88,10 @@ class Value {
   Array arr_;
   Object obj_;
 };
+
+/// Appends `s` to `out` as a quoted JSON string literal (quotes,
+/// backslashes and control characters escaped).
+void append_quoted(std::string& out, std::string_view s);
 
 /// Parses one JSON document; trailing non-whitespace is an error.  Throws
 /// IoError with line/column context on malformed input.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "src/core/error.hpp"
 #include "src/core/json.hpp"
@@ -46,23 +47,14 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // keep it simple
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// One Chrome trace_event JSON row for `e` (shared by the in-memory
 /// exporter and the stream flusher).  `track_count` clamps unknown tracks
 /// onto the main row, as the exporter does.
 std::string render_trace_event(const TraceEvent& e, std::size_t track_count) {
   const std::size_t tid = e.track < track_count ? e.track : 0;
-  std::string row = "{\"name\": \"" + json_escape(e.name) + "\", \"ph\": \"";
+  std::string row = "{\"name\": ";
+  json::append_quoted(row, e.name);
+  row += ", \"ph\": \"";
   row += e.phase == TraceEvent::Phase::kComplete ? "X" : "i";
   row += "\", \"pid\": 1, \"tid\": " + std::to_string(tid) +
          ", \"ts\": " + json_number(e.ts_us);
@@ -75,13 +67,49 @@ std::string render_trace_event(const TraceEvent& e, std::size_t track_count) {
     row += ", \"args\": {";
     for (std::uint32_t a = 0; a < e.nargs; ++a) {
       if (a) row += ", ";
-      row += "\"" + json_escape(e.args[a].first) +
-             "\": " + json_number(e.args[a].second);
+      json::append_quoted(row, e.args[a].first);
+      row += ": " + json_number(e.args[a].second);
     }
     row += "}";
   }
   row += "}";
   return row;
+}
+
+/// The Chrome trace metadata rows: the process name, then each track's
+/// name and sort index.  The sort index forces registration order, so
+/// backends appear in attach order.  No tracks means the one "main" row.
+std::vector<std::string> track_metadata_rows(
+    const std::vector<std::string>& tracks) {
+  std::vector<std::string> rows{
+      "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+      "\"args\": {\"name\": \"castanet\"}}"};
+  const std::size_t n = std::max<std::size_t>(tracks.size(), 1);
+  for (std::size_t t = 0; t < n; ++t) {
+    std::string row =
+        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
+        std::to_string(t) + ", \"args\": {\"name\": ";
+    json::append_quoted(row, tracks.empty() ? "main" : tracks[t]);
+    rows.push_back(row + "}}");
+    rows.push_back(
+        "{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1, "
+        "\"tid\": " +
+        std::to_string(t) + ", \"args\": {\"sort_index\": " +
+        std::to_string(t) + "}}");
+  }
+  return rows;
+}
+
+/// Closes the "traceEvents" array and the document.  `otherData` carries
+/// the dropped-event count, plus the flushed-event count of a stream file.
+std::string trace_footer(std::uint64_t dropped,
+                         std::optional<std::uint64_t> streamed) {
+  std::string out =
+      "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
+      "{\"trace_dropped\": " +
+      std::to_string(dropped);
+  if (streamed) out += ", \"trace_streamed\": " + std::to_string(*streamed);
+  return out + "}}\n";
 }
 
 }  // namespace
@@ -145,36 +173,6 @@ double Timing::mean() const {
   return n ? sum() / static_cast<double>(n) : kNaN;
 }
 
-void HistogramMetric::record(double v) {
-  if (std::isnan(v)) return;  // not a sample
-  const std::uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  atomic_min(min_, v, prev == 0);
-  atomic_max(max_, v, prev == 0);
-  const int i = Log2Histogram::bucket_of(v);
-  if (i < 0) {
-    zero_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    buckets_[static_cast<std::size_t>(i)].fetch_add(1,
-                                                    std::memory_order_relaxed);
-  }
-}
-
-Log2Histogram HistogramMetric::snapshot() const {
-  std::vector<std::pair<int, std::uint64_t>> buckets;
-  for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
-    const std::uint64_t c =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    if (c != 0) buckets.emplace_back(i, c);
-  }
-  const std::uint64_t n = count_.load(std::memory_order_relaxed);
-  return Log2Histogram::from_parts(
-      n, sum_.load(std::memory_order_relaxed),
-      n ? min_.load(std::memory_order_relaxed) : kNaN,
-      n ? max_.load(std::memory_order_relaxed) : kNaN,
-      zero_.load(std::memory_order_relaxed), buckets);
-}
-
 // ---------------------------------------------------------------------------
 // Hub.
 
@@ -205,7 +203,6 @@ void Hub::reset() {
     counters_.clear();
     gauges_.clear();
     timings_.clear();
-    histograms_.clear();
     published_.clear();
   }
   {
@@ -238,13 +235,6 @@ Timing& Hub::timing(const std::string& name) {
   std::lock_guard<std::mutex> lk(metrics_mu_);
   auto& slot = timings_[name];
   if (!slot) slot = std::make_unique<Timing>();
-  return *slot;
-}
-
-HistogramMetric& Hub::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<HistogramMetric>();
   return *slot;
 }
 
@@ -385,29 +375,12 @@ void Hub::flush_stream_locked() {
 
 void Hub::finalize_stream_locked() {
   flush_stream_locked();
-  std::vector<std::string> tracks = track_names_;
-  if (tracks.empty()) tracks.push_back("main");
-  const auto emit = [&](const std::string& row) {
+  for (const std::string& row : track_metadata_rows(track_names_)) {
     if (!stream_first_) std::fputs(",\n", stream_);
     stream_first_ = false;
     std::fwrite(row.data(), 1, row.size(), stream_);
-  };
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-       "\"args\": {\"name\": \"castanet\"}}");
-  for (std::size_t t = 0; t < tracks.size(); ++t) {
-    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-         std::to_string(t) + ", \"args\": {\"name\": \"" +
-         json_escape(tracks[t]) + "\"}}");
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": " +
-         std::to_string(t) + ", \"args\": {\"sort_index\": " +
-         std::to_string(t) + "}}");
   }
-  const std::string footer =
-      "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
-      "{\"trace_dropped\": " +
-      std::to_string(dropped_) +
-      ", \"trace_streamed\": " + std::to_string(streamed_) + "}}\n";
+  const std::string footer = trace_footer(dropped_, streamed_);
   std::fwrite(footer.data(), 1, footer.size(), stream_);
   std::fclose(stream_);
   stream_ = nullptr;
@@ -477,18 +450,6 @@ MetricsSnapshot Hub::snapshot() const {
       row.last = kNaN;
       snap.rows.push_back(std::move(row));
     }
-    for (const auto& [name, h] : histograms_) {
-      MetricRow row;
-      row.name = name;
-      row.kind = MetricRow::Kind::kHistogram;
-      row.hist = h->snapshot();
-      row.count = row.hist.count();
-      row.sum = row.hist.sum();
-      row.min = row.hist.min();
-      row.max = row.hist.max();
-      row.last = kNaN;
-      snap.rows.push_back(std::move(row));
-    }
     for (const auto& [name, row] : published_) snap.rows.push_back(row);
   }
   std::sort(snap.rows.begin(), snap.rows.end(),
@@ -500,64 +461,22 @@ MetricsSnapshot Hub::snapshot() const {
   return snap;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\n  \"metrics\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MetricRow& r = rows[i];
-    out += i ? ",\n    " : "\n    ";
-    out += "{\"name\": \"" + json_escape(r.name) + "\", \"kind\": \"" +
-           metric_kind_name(r.kind) +
-           "\", \"count\": " + std::to_string(r.count);
-    if (r.empty()) {
-      // No samples: emptiness is explicit, never a fake zero.
-      out += ", \"empty\": true";
-    } else {
-      out += ", \"sum\": " + json_number(r.sum);
-      out += ", \"min\": " + json_number(r.min);
-      out += ", \"max\": " + json_number(r.max);
-      out += ", \"last\": " + json_number(r.last);
-      if (r.kind == MetricRow::Kind::kHistogram) {
-        out += ", \"zero\": " + std::to_string(r.hist.zero_count());
-        out += ", \"buckets\": [";
-        bool first = true;
-        for (const auto& [b, c] : r.hist.nonzero_buckets()) {
-          if (!first) out += ", ";
-          first = false;
-          out += "[" + std::to_string(b) + ", " + std::to_string(c) + "]";
-        }
-        out += "]";
-        out += ", \"p50\": " + json_number(r.hist.quantile(0.50));
-        out += ", \"p90\": " + json_number(r.hist.quantile(0.90));
-        out += ", \"p99\": " + json_number(r.hist.quantile(0.99));
-        out += ", \"p999\": " + json_number(r.hist.quantile(0.999));
-      }
-    }
-    out += "}";
-  }
-  out += "\n  ],\n  \"trace_events\": " + std::to_string(trace_events) +
-         ",\n  \"trace_dropped\": " + std::to_string(trace_dropped) + "\n}\n";
-  return out;
-}
-
-json::Value MetricsSnapshot::to_json_value() const {
+json::Value MetricsSnapshot::to_json() const {
   json::Array metrics;
   metrics.reserve(rows.size());
   for (const MetricRow& r : rows) {
-    // NaN has no JSON literal; mirror to_json()'s convention of null.
-    const auto num = [](double v) {
-      return std::isfinite(v) ? json::Value(v) : json::Value(nullptr);
-    };
     json::Value row{json::Object{}};
     row.set("name", r.name);
     row.set("kind", metric_kind_name(r.kind));
     row.set("count", static_cast<std::int64_t>(r.count));
     if (r.empty()) {
+      // No samples: emptiness is explicit, never a fake zero.
       row.set("empty", true);
     } else {
-      row.set("sum", num(r.sum));
-      row.set("min", num(r.min));
-      row.set("max", num(r.max));
-      row.set("last", num(r.last));
+      row.set("sum", r.sum);
+      row.set("min", r.min);
+      row.set("max", r.max);
+      row.set("last", r.last);
       if (r.kind == MetricRow::Kind::kHistogram) {
         row.set("zero", static_cast<std::int64_t>(r.hist.zero_count()));
         json::Array buckets;
@@ -567,10 +486,10 @@ json::Value MetricsSnapshot::to_json_value() const {
               json::Value(static_cast<std::int64_t>(c))}});
         }
         row.set("buckets", json::Value{std::move(buckets)});
-        row.set("p50", num(r.hist.quantile(0.50)));
-        row.set("p90", num(r.hist.quantile(0.90)));
-        row.set("p99", num(r.hist.quantile(0.99)));
-        row.set("p999", num(r.hist.quantile(0.999)));
+        row.set("p50", r.hist.quantile(0.50));
+        row.set("p90", r.hist.quantile(0.90));
+        row.set("p99", r.hist.quantile(0.99));
+        row.set("p999", r.hist.quantile(0.999));
       }
     }
     metrics.push_back(std::move(row));
@@ -798,7 +717,6 @@ std::string Hub::chrome_trace_json() const {
         events.push_back(ring_[(ring_head_ + i) % ring_.size()]);
     }
   }
-  if (tracks.empty()) tracks.push_back("main");
   // Perfetto sorts complete events per track by ts; interleaved producers
   // mean the ring is only roughly ordered — sort for well-formed nesting.
   std::stable_sort(events.begin(), events.end(),
@@ -813,25 +731,12 @@ std::string Hub::chrome_trace_json() const {
     first = false;
     out += e;
   };
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-       "\"args\": {\"name\": \"castanet\"}}");
-  for (std::size_t t = 0; t < tracks.size(); ++t) {
-    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-         std::to_string(t) + ", \"args\": {\"name\": \"" +
-         json_escape(tracks[t]) + "\"}}");
-    // Force track order to registration order (backends in attach order).
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": " +
-         std::to_string(t) + ", \"args\": {\"sort_index\": " +
-         std::to_string(t) + "}}");
-  }
+  for (const std::string& row : track_metadata_rows(tracks)) emit(row);
+  const std::size_t track_count = std::max<std::size_t>(tracks.size(), 1);
   for (const TraceEvent& e : events) {
-    emit(render_trace_event(e, tracks.size()));
+    emit(render_trace_event(e, track_count));
   }
-  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
-         "{\"trace_dropped\": " +
-         std::to_string(dropped) + "}}\n";
-  return out;
+  return out + trace_footer(dropped, std::nullopt);
 }
 
 bool Hub::write_chrome_trace(const std::string& path) const {

@@ -37,11 +37,8 @@
 #include <vector>
 
 #include "src/core/histogram.hpp"
+#include "src/core/json.hpp"
 #include "src/core/stats.hpp"
-
-namespace castanet::json {
-class Value;
-}
 
 namespace castanet::telemetry {
 
@@ -92,28 +89,6 @@ class Timing {
   double mean() const;
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-};
-
-/// Hub-owned log2 histogram handle: the same global bucket edges as
-/// Log2Histogram, recorded through relaxed atomics so any thread may record.
-/// Bucket counts are exact; count/sum/min/max follow the Timing discipline
-/// (independent relaxed updates, consistent at quiescent points — which is
-/// when snapshots are taken).
-class HistogramMetric {
- public:
-  void record(double v);
-  /// Materializes the current state as a plain Log2Histogram (relaxed
-  /// loads; exact at quiescent points).
-  Log2Histogram snapshot() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::array<std::atomic<std::uint64_t>, Log2Histogram::kBuckets> buckets_{};
-  std::atomic<std::uint64_t> zero_{0};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
@@ -181,13 +156,14 @@ struct MetricsSnapshot {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
 
-  std::string to_json() const;
+  /// {"metrics": [{"name", "kind", "count", ...}], "trace_events",
+  /// "trace_dropped"}; NaN fields are written as null.  Files get
+  /// `to_json().dump(2)`.
+  json::Value to_json() const;
   std::string to_table() const;
 
-  /// Structured form of to_json() (same shape); parse side below.
-  json::Value to_json_value() const;
-  /// Inverse of to_json_value/to_json.  Throws LogicError on a document
-  /// that is not a metrics snapshot (missing "metrics" array, bad kinds).
+  /// Inverse of to_json().  Throws LogicError on a document that is not a
+  /// metrics snapshot (missing "metrics" array, bad kinds).
   static MetricsSnapshot from_json(const json::Value& doc);
 
   /// Merges another shard's snapshot into this one, row-matched by name
@@ -221,7 +197,6 @@ class Hub {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Timing& timing(const std::string& name);
-  HistogramMetric& histogram(const std::string& name);
 
   // --- published rows (component-owned stats, pushed at quiescent points) -
   void publish_count(const std::string& name, std::uint64_t value);
@@ -276,7 +251,6 @@ class Hub {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Timing>> timings_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
   std::map<std::string, MetricRow> published_;
 
   /// Writes the ring's events (sorted by timestamp) to the stream file and

@@ -306,7 +306,8 @@ std::string render_board_config(const board::ConfigDataSet& cfg) {
     std::string out = "{";
     for (std::size_t i = 0; i < slices.size(); ++i) {
       if (i) out += ",";
-      out += " " + slice_str(slices[i]);
+      out += ' ';
+      out += slice_str(slices[i]);
     }
     return out + " }";
   };

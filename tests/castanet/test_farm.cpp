@@ -287,6 +287,44 @@ TEST(FarmTelemetry, SnapshotsShipAndMergeIdenticallyToSerial) {
   EXPECT_TRUE(fl->hist.identical(sl->hist));
 }
 
+TEST(FarmTelemetry, ResultFrameCarriesTheSnapshotExactly) {
+  const SessionResult r = metric_run(make_specs(3)[2]);
+  const SessionResult back = decode_result(encode_result(r));
+  EXPECT_EQ(back.id, r.id);
+  EXPECT_EQ(back.digest, r.digest);
+  ASSERT_TRUE(back.has_metrics);
+  EXPECT_EQ(back.metrics.to_json().dump(), r.metrics.to_json().dump());
+  EXPECT_TRUE(back.metrics.find("fake.lag")->hist.identical(
+      r.metrics.find("fake.lag")->hist));
+}
+
+TEST(FarmTelemetry, CorruptMetricsInAResultFrameIsAProtocolError) {
+  SessionResult r;
+  r.id = "s";
+  r.ok = true;
+  const std::vector<std::uint8_t> plain = encode_result(r);
+  ASSERT_EQ(plain.back(), 0);  // the has_metrics flag closes the frame
+  for (const char* bad :
+       {"", "not json", "{\"metrics\": [", "[]",
+        R"({"metrics": [{"name": "a", "kind": "flux"}]})",
+        R"({"metrics": [{"name": "h", "kind": "histogram", "count": 1,
+                         "buckets": [[3]]}]})"}) {
+    std::vector<std::uint8_t> frame = plain;
+    frame.back() = 1;
+    wire::Writer w;
+    w.str(bad);
+    frame.insert(frame.end(), w.data().begin(), w.data().end());
+    EXPECT_THROW(decode_result(frame), ProtocolError) << bad;
+  }
+  // A cut metrics field and trailing bytes are refused the same way.
+  std::vector<std::uint8_t> cut = encode_result(metric_run(make_specs(1)[0]));
+  cut.resize(cut.size() - 3);
+  EXPECT_THROW(decode_result(cut), ProtocolError);
+  std::vector<std::uint8_t> longer = plain;
+  longer.push_back(0);
+  EXPECT_THROW(decode_result(longer), ProtocolError);
+}
+
 TEST(FarmTelemetry, HeartbeatsReachTheParentWhileItemsRun) {
   const auto specs = make_specs(5);
   const FarmReport report = run_farm(specs, metric_run, FarmParams{2});

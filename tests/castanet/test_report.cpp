@@ -108,8 +108,8 @@ TEST(Consolidate, MergesShardFilesExactly) {
   const MetricsSnapshot s1 = flow_snapshot(4, 4, {1e-6, 2e-6});
   const MetricsSnapshot s2 = flow_snapshot(6, 5, {4e-6});
   {
-    std::ofstream(p1) << s1.to_json();
-    std::ofstream(p2) << s2.to_json();
+    std::ofstream(p1) << s1.to_json().dump(2);
+    std::ofstream(p2) << s2.to_json().dump(2);
   }
   const RunReport rep = consolidate({p1, p2}, {});
   ASSERT_EQ(rep.shards.size(), 2u);
@@ -125,7 +125,7 @@ TEST(Consolidate, MergesShardFilesExactly) {
 
 TEST(ValidateMetricsJson, AcceptsSnapshotsAndReportsRejectsJunk) {
   const MetricsSnapshot s = flow_snapshot(3, 3, {1e-6});
-  EXPECT_EQ(validate_metrics_json(s.to_json()), "");
+  EXPECT_EQ(validate_metrics_json(s.to_json().dump(2)), "");
 
   // A run report embeds the snapshot under "metrics" (object form).
   RunReport rep;

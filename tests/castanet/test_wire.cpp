@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/core/error.hpp"
 
 namespace castanet::cosim::wire {
@@ -34,6 +37,15 @@ TEST(Wire, PrimitivesRoundTrip) {
   EXPECT_EQ(r.str(), "hello wire");
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.done());
+}
+
+TEST(Wire, WriterCanonicalizesEveryNaN) {
+  Writer a, b;
+  a.f64(std::numeric_limits<double>::quiet_NaN());
+  b.f64(-std::numeric_limits<double>::signaling_NaN());
+  EXPECT_EQ(a.data(), b.data());
+  Reader r(a.data());
+  EXPECT_TRUE(std::isnan(r.f64()));
 }
 
 TEST(Wire, LittleEndianLayout) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "src/core/error.hpp"
@@ -68,6 +70,45 @@ TEST(Json, DumpParseRoundTrip) {
   const Value v = parse(text);
   EXPECT_EQ(v.dump(), text);
   EXPECT_EQ(parse(v.dump()).dump(), text);
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull) {
+  // JSON has no NaN or infinity literal; writing one must still parse.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const Value doc(v);
+    EXPECT_EQ(doc.dump(), "null");
+    EXPECT_TRUE(parse(doc.dump()).is_null());
+    EXPECT_THROW(doc.as_int(), LogicError);
+  }
+}
+
+TEST(Json, DoublesOutsideInt64RangeRoundTrip) {
+  for (const double v : {1e300, -1e300, 9.3e18, -9.3e18, 1.0 / 3.0, 5e-324}) {
+    const Value doc(v);
+    EXPECT_THROW(doc.as_int(), LogicError) << v;
+    EXPECT_EQ(parse(doc.dump()).as_double(), v);
+  }
+  // Integral doubles inside the range keep their exact integer view.
+  EXPECT_EQ(Value(-9223372036854775808.0).as_int(), INT64_MIN);
+  EXPECT_EQ(Value(4096.0).dump(), "4096");
+}
+
+TEST(Json, NumbersAreReadWhole) {
+  EXPECT_THROW(parse("1-2"), IoError);
+  EXPECT_THROW(parse("[1.5e3e4]"), IoError);
+  EXPECT_THROW(parse("1e999"), IoError);
+  EXPECT_THROW(parse("99999999999999999999"), IoError);
+  // Subnormals underflow gracefully instead of being refused.
+  EXPECT_EQ(parse("4.9406564584124654e-324").as_double(), 5e-324);
+}
+
+TEST(Json, AppendQuotedEscapesControlCharacters) {
+  std::string out = "x";
+  append_quoted(out, std::string("a\"b\\c\x01\n", 7));
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\u0001\\n\"");
+  EXPECT_EQ(parse(out.substr(1)).as_string(), std::string("a\"b\\c\x01\n", 7));
 }
 
 TEST(Json, FallbackAccessors) {

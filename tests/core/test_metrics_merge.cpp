@@ -248,7 +248,7 @@ TEST(MetricsSnapshot, MergedShardsIdenticalToSingleProcess) {
 
 TEST(MetricsSnapshot, JsonRoundTripIsStructurallyExact) {
   const MetricsSnapshot s = make_snapshot(5, 0.25);
-  const MetricsSnapshot back = MetricsSnapshot::from_json(s.to_json_value());
+  const MetricsSnapshot back = MetricsSnapshot::from_json(s.to_json());
   ASSERT_EQ(back.rows.size(), s.rows.size());
   for (std::size_t i = 0; i < s.rows.size(); ++i) {
     EXPECT_EQ(back.rows[i].name, s.rows[i].name);
@@ -258,11 +258,93 @@ TEST(MetricsSnapshot, JsonRoundTripIsStructurallyExact) {
   EXPECT_TRUE(back.find("b.hist")->hist.identical(s.find("b.hist")->hist));
   EXPECT_EQ(back.trace_events, s.trace_events);
 
-  // And the string form parses back the same way.
+  // And the text form parses back the same way.
   const MetricsSnapshot again =
-      MetricsSnapshot::from_json(json::parse(s.to_json()));
+      MetricsSnapshot::from_json(json::parse(s.to_json().dump(2)));
   EXPECT_EQ(again.rows.size(), s.rows.size());
   EXPECT_TRUE(again.find("b.hist")->hist.identical(s.find("b.hist")->hist));
+}
+
+/// Writes `s` as text and reads it back: the one path every snapshot file
+/// and farm result frame takes.
+MetricsSnapshot through_text(const MetricsSnapshot& s) {
+  return MetricsSnapshot::from_json(json::parse(s.to_json().dump()));
+}
+
+TEST(MetricsSnapshot, TextRoundTripKeepsEveryNameByteAndEveryDoubleBit) {
+  MetricsSnapshot s;
+  MetricRow gauge;
+  gauge.name = std::string("q\"uote\\back\x01slash.ctl\x1f");
+  gauge.kind = Kind::kGauge;
+  gauge.count = 3;
+  gauge.sum = kNaN;
+  gauge.min = kNaN;
+  gauge.max = 2.0 / 3.0;
+  gauge.last = 1.0 / 3.0;
+  s.rows.push_back(gauge);
+  const MetricsSnapshot back = through_text(s);
+  ASSERT_EQ(back.rows.size(), 1u);
+  EXPECT_EQ(back.rows[0].name, gauge.name);
+  EXPECT_EQ(back.rows[0].name.size(), gauge.name.size());
+  EXPECT_EQ(back.rows[0].last, 1.0 / 3.0);
+  EXPECT_EQ(back.rows[0].max, 2.0 / 3.0);
+  EXPECT_TRUE(std::isnan(back.rows[0].sum));
+  EXPECT_EQ(back.rows[0].count, 3u);
+}
+
+TEST(MetricsSnapshot, TextRoundTripsCounterHistogramAndTimingExactly) {
+  MetricsSnapshot s;
+  MetricRow counter;
+  counter.name = "events";
+  counter.kind = Kind::kCounter;
+  counter.count = 1234;
+  counter.sum = 1234.0;
+  counter.min = counter.max = counter.last = kNaN;
+  s.rows.push_back(counter);
+
+  MetricRow hist;
+  hist.name = "lag";
+  hist.kind = Kind::kHistogram;
+  for (const double v : {0.0, 1e-6, 2e-6, 0.5}) hist.hist.record(v);
+  hist.count = hist.hist.count();
+  hist.sum = hist.hist.sum();
+  hist.min = hist.hist.min();
+  hist.max = hist.hist.max();
+  hist.last = kNaN;
+  s.rows.push_back(hist);
+
+  MetricRow timing;
+  timing.name = "span_ns";
+  timing.kind = Kind::kTiming;
+  timing.count = 3;
+  timing.sum = 42.0;
+  timing.min = 4.0;
+  timing.max = 30.0;
+  timing.last = 8.0;
+  s.rows.push_back(timing);
+
+  s.trace_events = 99;
+  s.trace_dropped = 1;
+
+  const MetricsSnapshot back = through_text(s);
+  ASSERT_EQ(back.rows.size(), s.rows.size());
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    EXPECT_EQ(back.rows[i].name, s.rows[i].name);
+    EXPECT_EQ(back.rows[i].kind, s.rows[i].kind);
+    EXPECT_EQ(back.rows[i].count, s.rows[i].count);
+    EXPECT_EQ(back.rows[i].sum, s.rows[i].sum);
+  }
+  // NaN survives as NaN (not 0) and histogram buckets are bit-exact.
+  EXPECT_TRUE(std::isnan(back.rows[0].min));
+  EXPECT_TRUE(back.rows[1].hist.identical(s.rows[1].hist));
+  EXPECT_EQ(back.rows[1].sum, s.rows[1].sum);
+  EXPECT_EQ(back.rows[2].min, 4.0);
+  EXPECT_EQ(back.rows[2].last, 8.0);
+  EXPECT_EQ(back.trace_events, 99u);
+  EXPECT_EQ(back.trace_dropped, 1u);
+  // Writing the read-back snapshot reproduces the text exactly.
+  EXPECT_EQ(back.to_json().dump(), s.to_json().dump());
+  EXPECT_TRUE(through_text(MetricsSnapshot{}).rows.empty());
 }
 
 TEST(MetricsSnapshot, FromJsonRejectsNonSnapshots) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/json.hpp"
+
 namespace castanet::telemetry {
 namespace {
 
@@ -232,7 +234,10 @@ TEST_F(TelemetryTest, EmptyStatRendersAsEmptyNotZero) {
   const MetricsSnapshot snap = Hub::instance().snapshot();
   ASSERT_EQ(snap.rows.size(), 1u);
   EXPECT_TRUE(snap.rows[0].empty());
-  EXPECT_NE(snap.to_json().find("\"empty\": true"), std::string::npos);
+  const json::Value doc = snap.to_json();
+  const json::Value& row = doc.find("metrics")->as_array()[0];
+  EXPECT_TRUE(row.bool_or("empty", false));
+  EXPECT_EQ(row.find("sum"), nullptr);
   // The table renders "-" cells, never a fake 0 sample.
   EXPECT_NE(snap.to_table().find('-'), std::string::npos);
 }
@@ -306,7 +311,24 @@ TEST_F(TelemetryTest, MetricsJsonIsWellFormed) {
   Hub::instance().enable();
   Hub::instance().counter("a\"b").add(1);
   Hub::instance().timing("t").record(1.0);
-  EXPECT_TRUE(json_well_formed(Hub::instance().snapshot().to_json()));
+  const std::string text = Hub::instance().snapshot().to_json().dump(2);
+  const json::Value doc = json::parse(text);
+  const json::Array& rows = doc.find("metrics")->as_array();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].string_or("name", ""), "a\"b");
+  EXPECT_EQ(rows[1].string_or("kind", ""), "timing");
+}
+
+TEST_F(TelemetryTest, ChromeTraceKeepsControlCharactersInNames) {
+  Hub::instance().enable();
+  Hub::instance().track("row\x01\n");
+  const json::Value doc = json::parse(Hub::instance().chrome_trace_json());
+  bool found = false;
+  for (const json::Value& e : doc.find("traceEvents")->as_array()) {
+    if (e.string_or("name", "") != "thread_name") continue;
+    found = found || e.find("args")->string_or("name", "") == "row\x01\n";
+  }
+  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -281,7 +281,7 @@ TEST(Scheduler, PublishTelemetrySnapshotRoundTrips) {
   // Schema gate: every dsim.wheel.* row survives the JSON round trip with
   // kind and value intact.
   const telemetry::MetricsSnapshot back =
-      telemetry::MetricsSnapshot::from_json(snap.to_json_value());
+      telemetry::MetricsSnapshot::from_json(json::parse(snap.to_json().dump()));
   const auto find = [](const telemetry::MetricsSnapshot& m,
                        const std::string& name)
       -> const telemetry::MetricRow* {

@@ -68,7 +68,7 @@ void run_trial(const TrialConfig& cfg) {
   const std::size_t ngates = 3 + pick(6);
   for (std::size_t g = 0; g < ngates; ++g) {
     const auto out =
-        sim.create_signal("g" + std::to_string(g), 1);
+        sim.create_signal(std::string("g").append(std::to_string(g)), 1);
     const std::size_t op = pick(5);
     const rtl::SignalId a = pool[pick(pool.size())];
     const rtl::SignalId b = pool[pick(pool.size())];
@@ -128,8 +128,8 @@ void run_trial(const TrialConfig& cfg) {
     const std::size_t nregs = 1 + pick(2);
     for (std::size_t i = 0; i < nregs; ++i) {
       const rtl::SignalId src = pool[pick(pool.size())];
-      const auto q = sim.create_signal("q" + std::to_string(i), 1,
-                                       rtl::Logic::L0);
+      const auto q = sim.create_signal(
+          std::string("q").append(std::to_string(i)), 1, rtl::Logic::L0);
       const auto pid =
           sim.add_process("reg" + std::to_string(i), {clk.id()},
                           [&sim, clk, src, q] {

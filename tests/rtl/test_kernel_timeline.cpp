@@ -156,7 +156,8 @@ class KernelRun {
   KernelRun(const Scenario& sc, bool levelized) : sc_(sc) {
     sim_.set_levelized(levelized);
     for (std::size_t i = 0; i < kWidths.size(); ++i) {
-      sim_.create_signal("s" + std::to_string(i), kWidths[i], Logic::U);
+      sim_.create_signal(std::string("s").append(std::to_string(i)), kWidths[i],
+                         Logic::U);
     }
     sim_.add_change_observer(
         [this](SignalId s, const LogicVector& v, SimTime t) {

@@ -101,7 +101,7 @@ class ScopedTelemetry {
     r.has_metrics = true;
     if (!metrics_out_.empty()) {
       std::ofstream f(metrics_out_);
-      if (f) f << r.metrics.to_json();
+      if (f) f << r.metrics.to_json().dump(2) << "\n";
     }
   }
 
