@@ -29,12 +29,14 @@ void RtlDutAdapter::set_max_safe_hz(std::uint64_t hz,
 }
 
 void RtlDutAdapter::step_clock() {
-  // Two half-periods per cycle; the concrete period only spaces events on
-  // the adapter's private time axis.
-  clk_.write(rtl::Logic::L1);
-  sim_->run_until(sim_->now() + SimTime::from_ps(period_.ps() / 2));
-  clk_.write(rtl::Logic::L0);
-  sim_->run_until(sim_->now() + SimTime::from_ps(period_.ps() / 2));
+  // The concrete period only spaces events on the adapter's private time
+  // axis.
+  if (!clock_running_) {
+    require(clk_.valid(), "RtlDutAdapter: clock not set");
+    sim_->add_clock(clk_.id(), period_);
+    clock_running_ = true;
+  }
+  sim_->run_before(sim_->now() + period_);
 }
 
 void RtlDutAdapter::reset() {
@@ -51,9 +53,9 @@ void RtlDutAdapter::reset() {
 }
 
 void RtlDutAdapter::cycle(const std::vector<std::uint64_t>& inputs,
-                          const std::vector<bool>& input_enable,
+                          const std::vector<std::uint8_t>& input_enable,
                           std::vector<std::uint64_t>& outputs,
-                          std::vector<bool>& output_enable) {
+                          std::vector<std::uint8_t>& output_enable) {
   require(inputs.size() == inputs_.size() &&
               input_enable.size() == inputs_.size(),
           "RtlDutAdapter::cycle: input count mismatch");
@@ -76,19 +78,14 @@ void RtlDutAdapter::cycle(const std::vector<std::uint64_t>& inputs,
   }
   step_clock();
 
+  // One word per port: bit b reads 1 for '1'/'H' (to_bool), and a port
+  // reading all-Z is released.
   outputs.resize(outputs_.size());
-  output_enable.assign(outputs_.size(), true);
+  output_enable.resize(outputs_.size());
   for (std::size_t o = 0; o < outputs_.size(); ++o) {
     const rtl::LogicVector& v = outputs_[o].read();
-    bool all_z = true;
-    std::uint64_t value = 0;
-    for (std::size_t b = 0; b < v.width(); ++b) {
-      const rtl::Logic bit = v.bit(b);
-      if (bit != rtl::Logic::Z) all_z = false;
-      if (rtl::to_bool(bit)) value |= std::uint64_t{1} << b;
-    }
-    outputs[o] = value;
-    output_enable[o] = !all_z;
+    outputs[o] = v.bool_word(0);
+    output_enable[o] = v.all_z() ? 0 : 1;
   }
 }
 

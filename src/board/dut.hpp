@@ -26,14 +26,15 @@ class BehavioralDut {
 
   virtual void reset() = 0;
   /// One DUT clock: `inputs[i]` is input port i's value this cycle;
-  /// `input_enable[i]` false means the tester releases that port (high-Z) —
+  /// `input_enable[i]` zero means the tester releases that port (high-Z) —
   /// the DUT-drive phase of a bidirectional bus.  Implementations fill
-  /// `outputs[o]` and set `output_enable[o]` false where the DUT releases
-  /// the port.
+  /// `outputs[o]` and set `output_enable[o]` to zero where the DUT releases
+  /// the port.  Enables are bytes (0 or 1), so the board and the DUT index
+  /// plain arrays.
   virtual void cycle(const std::vector<std::uint64_t>& inputs,
-                     const std::vector<bool>& input_enable,
+                     const std::vector<std::uint8_t>& input_enable,
                      std::vector<std::uint64_t>& outputs,
-                     std::vector<bool>& output_enable) = 0;
+                     std::vector<std::uint8_t>& output_enable) = 0;
   virtual std::size_t num_inputs() const = 0;
   virtual std::size_t num_outputs() const = 0;
 };
@@ -55,7 +56,8 @@ class RtlDutAdapter : public BehavioralDut {
     owned_.push_back(std::move(module));
     return ref;
   }
-  /// Clock/reset signals the adapter toggles; create and pass in.
+  /// Clock/reset signals; create and pass in.  The adapter registers the
+  /// clock with the kernel (Simulator::add_clock) on its first DUT cycle.
   void set_clock(rtl::Signal clk) { clk_ = clk; }
   void set_reset(rtl::Signal rst) { rst_ = rst; }
   /// Registers input port i (order of calls defines the index).  A port
@@ -75,9 +77,9 @@ class RtlDutAdapter : public BehavioralDut {
 
   void reset() override;
   void cycle(const std::vector<std::uint64_t>& inputs,
-             const std::vector<bool>& input_enable,
+             const std::vector<std::uint8_t>& input_enable,
              std::vector<std::uint64_t>& outputs,
-             std::vector<bool>& output_enable) override;
+             std::vector<std::uint8_t>& output_enable) override;
   std::size_t num_inputs() const override { return inputs_.size(); }
   std::size_t num_outputs() const override { return outputs_.size(); }
 
@@ -89,6 +91,7 @@ class RtlDutAdapter : public BehavioralDut {
   std::vector<std::unique_ptr<rtl::Module>> owned_;
   rtl::Signal clk_;
   rtl::Signal rst_;
+  bool clock_running_ = false;
   std::vector<rtl::Bus> inputs_;
   std::vector<rtl::Bus> outputs_;
   SimTime period_ = SimTime::from_ns(50);
@@ -100,6 +103,9 @@ class RtlDutAdapter : public BehavioralDut {
 
   static constexpr std::uint64_t kMaxBoardClockHzDefault = 20'000'000;
 
+  /// Advances one whole DUT clock period in one kernel call: the rising
+  /// edge at now(), shared with the inputs written just before, and the
+  /// falling edge half a period later; stops before the next rising edge.
   void step_clock();
 };
 

@@ -14,11 +14,11 @@ LoopbackDut::LoopbackDut(std::size_t ports, std::uint64_t stuck_mask)
 void LoopbackDut::reset() { reg_.assign(ports_, 0); }
 
 void LoopbackDut::cycle(const std::vector<std::uint64_t>& inputs,
-                        const std::vector<bool>& input_enable,
+                        const std::vector<std::uint8_t>& input_enable,
                         std::vector<std::uint64_t>& outputs,
-                        std::vector<bool>& output_enable) {
+                        std::vector<std::uint8_t>& output_enable) {
   outputs.resize(ports_);
-  output_enable.assign(ports_, true);
+  output_enable.assign(ports_, 1);
   for (std::size_t p = 0; p < ports_; ++p) {
     outputs[p] = reg_[p] & ~stuck_mask_;
     reg_[p] = p < inputs.size() && input_enable[p] ? inputs[p] : 0;

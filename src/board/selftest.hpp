@@ -25,9 +25,9 @@ class LoopbackDut : public BehavioralDut {
 
   void reset() override;
   void cycle(const std::vector<std::uint64_t>& inputs,
-             const std::vector<bool>& input_enable,
+             const std::vector<std::uint8_t>& input_enable,
              std::vector<std::uint64_t>& outputs,
-             std::vector<bool>& output_enable) override;
+             std::vector<std::uint8_t>& output_enable) override;
   std::size_t num_inputs() const override { return ports_; }
   std::size_t num_outputs() const override { return ports_; }
 

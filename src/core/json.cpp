@@ -364,24 +364,40 @@ class Parser {
     fail("unterminated string");
   }
 
+  /// RFC 8259 number: [ "-" ] ( "0" / digit1-9 *DIGIT ) [ "." 1*DIGIT ]
+  /// [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ].  So no leading "+", no
+  /// leading zero before another digit, and a digit on both sides of "."
+  /// and after the exponent mark; what follows the number is left to the
+  /// caller, which rejects "01" at the "1".
   Value parse_number() {
     skip_ws();
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+    const auto at = [&](char c) { return pos_ < s_.size() && s_[pos_] == c; };
+    const auto digits = [&] {
+      const std::size_t from = pos_;
+      while (pos_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
         ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = c != '.' && c != 'e' && c != 'E' ? integral : false;
-        ++pos_;
-      } else {
-        break;
       }
-    }
-    if (pos_ == start || (pos_ == start + 1 && s_[start] == '-')) {
+      return pos_ - from;
+    };
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;
+    } else if (digits() == 0) {
       fail("bad number");
+    }
+    bool integral = true;
+    if (at('.')) {
+      ++pos_;
+      integral = false;
+      if (digits() == 0) fail("bad number: digit expected after '.'");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      integral = false;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) fail("bad number: digit expected in exponent");
     }
     const std::string tok = s_.substr(start, pos_ - start);
     char* end = nullptr;

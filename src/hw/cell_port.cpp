@@ -53,7 +53,7 @@ void CellPortDriver::on_clk() {
   }
   const std::uint8_t b = buffer_.front();
   buffer_.pop_front();
-  port_.data.write(byte_to_bits(b));
+  port_.data.write_uint(b);
   port_.valid.write(rtl::Logic::L1);
   port_.sync.write(phase_ == 0 ? rtl::Logic::L1 : rtl::Logic::L0);
   ++phase_;

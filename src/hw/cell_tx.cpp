@@ -53,7 +53,7 @@ void CellTransmitter::on_clk() {
     return;
   }
 
-  out_.data.write(byte_to_bits(buffer_[index_]));
+  out_.data.write_uint(buffer_[index_]);
   out_.sync.write(index_ == 0 ? rtl::Logic::L1 : rtl::Logic::L0);
   out_.valid.write(rtl::Logic::L1);
   ++index_;

@@ -73,7 +73,7 @@ LogicVector::LogicVector(const LogicVector& o)
   }
 }
 
-LogicVector& LogicVector::operator=(const LogicVector& o) {
+LogicVector& LogicVector::assign_slow(const LogicVector& o) {
   if (this == &o) return *this;
   if (o.inlined()) {
     heap_.reset();
@@ -198,9 +198,7 @@ std::string LogicVector::to_string() const {
   return s;
 }
 
-bool LogicVector::operator==(const LogicVector& o) const {
-  if (width_ != o.width_) return false;
-  if (inlined()) return sbo_ == o.sbo_;
+bool LogicVector::heap_equal(const LogicVector& o) const {
   return std::equal(heap_.get(), heap_.get() + kPlanes * words(),
                     o.heap_.get());
 }
@@ -257,12 +255,6 @@ void LogicVector::resolve_with(const LogicVector& o) {
     // zero-tail invariant.
     for (std::size_t p = 0; p < kPlanes; ++p) plane(p)[w] = out[p];
   }
-}
-
-void LogicVector::swap(LogicVector& o) noexcept {
-  std::swap(width_, o.width_);
-  std::swap(sbo_, o.sbo_);
-  heap_.swap(o.heap_);
 }
 
 LogicVector resolve(const LogicVector& a, const LogicVector& b) {

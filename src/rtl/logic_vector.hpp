@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/core/error.hpp"
 #include "src/rtl/logic.hpp"
@@ -46,7 +47,16 @@ class LogicVector {
   static LogicVector from_uint(std::uint64_t value, std::size_t width);
 
   LogicVector(const LogicVector& o);
-  LogicVector& operator=(const LogicVector& o);
+  /// Inline for the kernel's commit: two in-object vectors copy their four
+  /// plane words, with no heap traffic.
+  LogicVector& operator=(const LogicVector& o) {
+    if (inlined() && o.inlined()) {
+      width_ = o.width_;
+      sbo_ = o.sbo_;
+      return *this;
+    }
+    return assign_slow(o);
+  }
   LogicVector(LogicVector&& o) noexcept;
   LogicVector& operator=(LogicVector&& o) noexcept;
   ~LogicVector() = default;
@@ -94,6 +104,24 @@ class LogicVector {
     require(w < words(), "LogicVector::value_word: word out of range");
     return plane(0)[w];
   }
+  /// Boolean-view word `w`: bit i of the result is set iff bit 64*w+i is
+  /// '1' or 'H' — to_bool() of every bit at once (value plane & known
+  /// plane), with the other seven values reading 0.
+  std::uint64_t bool_word(std::size_t w) const {
+    require(w < words(), "LogicVector::bool_word: word out of range");
+    return plane(0)[w] & plane(1)[w];
+  }
+  /// True when every bit is 'Z' (a released bus).
+  bool all_z() const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      const std::uint64_t m =
+          (w + 1 == words()) ? tail_mask() : ~std::uint64_t{0};
+      if ((plane(0)[w] | plane(1)[w] | plane(3)[w]) != 0 || plane(2)[w] != m) {
+        return false;
+      }
+    }
+    return true;
+  }
   /// Overwrites bits [64*w, 64*w+64) — clipped to the vector width — with
   /// strong '0'/'1' per `bits`.  The word-at-a-time dual of from_uint() for
   /// wide buses (e.g. loading the 424-bit cell bus in 7 stores per plane).
@@ -115,6 +143,19 @@ class LogicVector {
     return sbo_[0] == (value & m) && sbo_[1] == m && sbo_[2] == 0 &&
            sbo_[3] == 0;
   }
+  /// Overwrites the whole vector with from_uint(value, width()) in place.
+  /// Width must be <= 64.
+  void assign_uint(std::uint64_t value) {
+    require(width_ <= 64, "LogicVector::assign_uint: width > 64");
+    const std::uint64_t m = width_ == 0 ? 0 : tail_mask();
+    sbo_ = {value & m, m, 0, 0};
+  }
+  /// Scalar counterparts of equals_uint()/assign_uint() for a width-1
+  /// vector: its single bit's code spread over the four plane words.
+  bool equals_scalar(Logic v) const {
+    return same_planes(sbo_, scalar_planes(v));
+  }
+  void assign_scalar(Logic v) { sbo_ = scalar_planes(v); }
   /// True when every bit is 0/1/L/H.
   bool is_defined() const;
   /// True if any bit is U or X.
@@ -134,7 +175,11 @@ class LogicVector {
   /// MSB-first string, as in a VHDL waveform viewer.
   std::string to_string() const;
 
-  bool operator==(const LogicVector& o) const;
+  bool operator==(const LogicVector& o) const {
+    if (width_ != o.width_) return false;
+    if (inlined()) return same_planes(sbo_, o.sbo_);
+    return heap_equal(o);
+  }
   bool operator!=(const LogicVector& o) const { return !(*this == o); }
 
   /// In-place element-wise resolution: *this := resolve(*this, o), never
@@ -146,7 +191,11 @@ class LogicVector {
 
   /// O(1) content swap; the kernel uses it to recycle plane buffers between
   /// a signal's effective and previous values.
-  void swap(LogicVector& o) noexcept;
+  void swap(LogicVector& o) noexcept {
+    std::swap(width_, o.width_);
+    std::swap(sbo_, o.sbo_);
+    heap_.swap(o.heap_);
+  }
 
   /// Element-wise resolution of two equal-width vectors.
   friend LogicVector resolve(const LogicVector& a, const LogicVector& b);
@@ -163,12 +212,27 @@ class LogicVector {
   const std::uint64_t* plane(std::size_t p) const {
     return inlined() ? &sbo_[p] : heap_.get() + p * words();
   }
+  /// Word-wise compare of two in-object plane sets (std::array's
+  /// operator== may become a memcmp call).
+  static bool same_planes(const std::array<std::uint64_t, kPlanes>& a,
+                          const std::array<std::uint64_t, kPlanes>& b) {
+    return ((a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) | (a[3] ^ b[3])) ==
+           0;
+  }
+  static std::array<std::uint64_t, kPlanes> scalar_planes(Logic v) {
+    const auto c = static_cast<std::uint64_t>(v);
+    return {c & 1, c >> 1 & 1, c >> 2 & 1, c >> 3 & 1};
+  }
   /// In-width mask for the last (possibly partial) word.
   std::uint64_t tail_mask() const {
     const std::size_t r = width_ % 64;
     return r == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << r) - 1;
   }
   void allocate(std::size_t width);
+  /// Out-of-line halves of operator= and operator== for heap-backed
+  /// vectors.
+  LogicVector& assign_slow(const LogicVector& o);
+  bool heap_equal(const LogicVector& o) const;
   /// Cold half of to_uint(): finds the offending bit for the diagnostic.
   [[noreturn]] void throw_undefined_bit() const;
 

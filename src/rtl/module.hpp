@@ -62,7 +62,7 @@ class Bus {
   }
   /// Releases this process's contribution to a resolved bus (drives all-Z).
   void release(SimTime delay = SimTime::zero()) const {
-    sim_->schedule_write(id_, LogicVector(width(), Logic::Z), delay);
+    sim_->schedule_release(id_, delay);
   }
   bool event() const { return sim_->event(id_); }
   std::size_t width() const { return sim_->width(id_); }
@@ -180,24 +180,21 @@ class Module {
 };
 
 /// Free-running clock generator: rising edge at phase, period thereafter.
+/// Drives `clk` to '0' at construction and registers a kernel clock
+/// (Simulator::add_clock) for the edges.
 class ClockGen {
  public:
   ClockGen(Simulator& sim, Signal clk, SimTime period,
            SimTime phase = SimTime::zero());
 
-  std::uint64_t rising_edges() const { return edges_; }
+  std::uint64_t rising_edges() const { return sim_->clock_rising_edges(id_); }
   SimTime period() const { return period_; }
-  void stop() { running_ = false; }
+  void stop() { sim_->stop_clock(id_); }
 
  private:
-  void tick_high();
-  void tick_low();
-
   Simulator* sim_;
-  Signal clk_;
   SimTime period_;
-  std::uint64_t edges_ = 0;
-  bool running_ = true;
+  ClockId id_ = 0;
 };
 
 }  // namespace castanet::rtl

@@ -268,68 +268,22 @@ void Simulator::schedule_write(SignalId s, LogicVector v, SimTime delay) {
   }
 }
 
-void Simulator::schedule_write(SignalId s, Logic v, SimTime delay) {
-  if (delay != SimTime::zero() || probing_ || defer_zero_delay()) {
-    schedule_write(s, scalar(v), delay);
-    return;
-  }
-  // Zero-delay fast path (every clocked output write): compare and set bit
-  // 0 of the driver slot in place.
-  require(s < signals_.size(), "schedule_write: unknown signal");
-  SignalState& st = signals_[s];
-  if (st.width != 1) {
-    throw LogicError("schedule_write: width mismatch on signal '" + st.name +
-                     "'");
-  }
-  delta_requested_ = true;
-  DriverSlot* d = find_driver(st, current_process_);
-  if (d == nullptr) {
-    stage(s, current_process_, scalar(v), delta_serial_ + 1);
-    return;
-  }
-  ++stats_.transactions;
-  if (d->value.bit(0) == v) return;
-  d->value.set_bit(0, v);
-  mark_staged(s, delta_serial_ + 1);
+void Simulator::schedule_write_slow(SignalId s, Logic v, SimTime delay) {
+  // Off the inline path: a delay, a probe, a deferred delta, a width
+  // mismatch, or the writer's first write, which creates its driver slot.
+  schedule_write(s, scalar(v), delay);
 }
 
-void Simulator::schedule_write_uint(SignalId s, std::uint64_t v,
-                                    SimTime delay) {
+void Simulator::schedule_write_uint_slow(SignalId s, std::uint64_t v,
+                                         SimTime delay) {
   require(s < signals_.size(), "schedule_write_uint: unknown signal");
-  SignalState& st = signals_[s];
-  if (delay != SimTime::zero() || probing_ || defer_zero_delay()) {
-    schedule_write(s, LogicVector::from_uint(v, st.width), delay);
-    return;
-  }
-  require(st.width <= 64, "schedule_write_uint: signal wider than 64 bits");
-  delta_requested_ = true;
-  DriverSlot* d = find_driver(st, current_process_);
-  if (d == nullptr) {
-    stage(s, current_process_, LogicVector::from_uint(v, st.width),
-          delta_serial_ + 1);
-    return;
-  }
-  ++stats_.transactions;
-  if (d->value.equals_uint(v)) return;
-  d->value.set_value_word(0, v);
-  mark_staged(s, delta_serial_ + 1);
+  require(signals_[s].width <= 64,
+          "schedule_write_uint: signal wider than 64 bits");
+  schedule_write(s, LogicVector::from_uint(v, signals_[s].width), delay);
 }
 
-bool Simulator::event(SignalId s) const {
-  require(s < signals_.size(), "event: unknown signal");
-  if (probing_) {
-    // Edge state is meaningless in the analysis sandbox; answer false and
-    // flag the probe so the caller degrades this process to unknown.
-    probe_unclean_ = true;
-    return false;
-  }
-  return signals_[s].changed_serial == delta_serial_;
-}
-
-bool Simulator::rose(SignalId s) const {
-  if (!event(s)) return false;
-  const SignalState& st = signals_[s];
-  return to_bool(st.effective.bit(0)) && !to_bool(st.previous.bit(0), false);
+void Simulator::schedule_release_slow(SignalId s, SimTime delay) {
+  schedule_write(s, LogicVector(width(s), Logic::Z), delay);
 }
 
 bool Simulator::fell(SignalId s) const {
@@ -343,6 +297,55 @@ void Simulator::schedule_callback(SimTime delay, SmallFn fn) {
   bucket_for(now_ + delay).callbacks.push_back(std::move(fn));
 }
 
+ClockId Simulator::add_clock(SignalId s, SimTime period, SimTime phase) {
+  require(s < signals_.size(), "add_clock: unknown signal");
+  require(signals_[s].width == 1, "add_clock: clock signal is not a scalar");
+  require(period > SimTime::zero(), "add_clock: period must be positive");
+  require(phase >= SimTime::zero(), "add_clock: negative phase");
+  KernelClock c;
+  c.sig = s;
+  c.high_ps = period.ps() / 2;
+  c.low_ps = period.ps() - c.high_ps;
+  c.next = now_ + phase;
+  clocks_.push_back(c);
+  update_clock_next();
+  return static_cast<ClockId>(clocks_.size() - 1);
+}
+
+void Simulator::stop_clock(ClockId c) {
+  require(c < clocks_.size(), "stop_clock: unknown clock");
+  clocks_[c].running = false;
+  update_clock_next();
+}
+
+std::uint64_t Simulator::clock_rising_edges(ClockId c) const {
+  require(c < clocks_.size(), "clock_rising_edges: unknown clock");
+  return clocks_[c].rising_edges;
+}
+
+void Simulator::update_clock_next() {
+  clock_next_ = SimTime::max();
+  for (const KernelClock& c : clocks_) {
+    if (c.running) clock_next_ = std::min(clock_next_, c.next);
+  }
+}
+
+void Simulator::fire_clock_edges(SimTime t) {
+  for (KernelClock& c : clocks_) {
+    if (!c.running || c.next != t) continue;
+    if (c.next_rising) {
+      ++c.rising_edges;
+      schedule_write(c.sig, Logic::L1);
+      c.next = t + SimTime::from_ps(c.high_ps);
+    } else {
+      schedule_write(c.sig, Logic::L0);
+      c.next = t + SimTime::from_ps(c.low_ps);
+    }
+    c.next_rising = !c.next_rising;
+  }
+  update_clock_next();
+}
+
 void Simulator::add_change_observer(ChangeObserver obs) {
   observers_.push_back(std::move(obs));
 }
@@ -351,14 +354,6 @@ void Simulator::enqueue_runnable(ProcessId p) {
   if (runnable_stamp_[p] == delta_serial_) return;
   runnable_stamp_[p] = delta_serial_;
   runnable_.push_back(p);
-}
-
-Simulator::DriverSlot* Simulator::find_driver(SignalState& st,
-                                              ProcessId pid) {
-  for (DriverSlot& d : st.drivers) {
-    if (d.pid == pid) return &d;
-  }
-  return nullptr;
 }
 
 void Simulator::stage(SignalId sig, ProcessId pid, LogicVector&& v,
@@ -437,8 +432,8 @@ void Simulator::commit(SignalId sig) {
   for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
     if (st.sensitive_rising[i] != 0) {
       if (!rising_known) {
-        rising =
-            to_bool(st.effective.bit(0)) && !to_bool(st.previous.bit(0), false);
+        rising = (st.effective.bool_word(0) & ~st.previous.bool_word(0) &
+                  1) != 0;
         rising_known = true;
       }
       if (!rising) continue;
@@ -591,8 +586,7 @@ void Simulator::run_time_point(std::vector<Transaction>& batch) {
   ++delta_serial_;
 }
 
-void Simulator::initialize() {
-  if (initialized_) return;
+void Simulator::initialize_design() {
   initialized_ = true;
   if (!processes_.empty()) {
     std::vector<ProcessId> all;
@@ -605,7 +599,9 @@ void Simulator::initialize() {
 
 SimTime Simulator::next_activity() const {
   if (delta_requested_ || !next_delta_.empty()) return now_;
-  return pending_.empty() ? SimTime::max() : buckets_[pending_.back()].t;
+  const SimTime bucket =
+      pending_.empty() ? SimTime::max() : buckets_[pending_.back()].t;
+  return std::min(bucket, clock_next_);
 }
 
 bool Simulator::quiescent() const {
@@ -628,44 +624,44 @@ bool Simulator::step_time() {
     cb_scratch_.swap(b.callbacks);
     free_buckets_.push_back(id);
   }
-  // Callbacks first: stimulus generators may schedule zero-delay writes that
-  // then land in the first delta of this time point — or, when the bucket
-  // holds delayed transactions, which take that delta, in the second.
+  // Clock edges, then callbacks: both issue zero-delay writes that land in
+  // the first delta of this time point — or, when the bucket holds delayed
+  // transactions, which take that delta, in the second.
   defer_writes_ = !batch_scratch_.empty();
+  if (clock_next_ == t) fire_clock_edges(t);
   for (auto& fn : cb_scratch_) fn();
   defer_writes_ = false;
   run_time_point(batch_scratch_);
   return true;
 }
 
-void Simulator::run_until(SimTime limit) {
+void Simulator::run_until(SimTime limit) { advance(limit, true); }
+
+void Simulator::run_before(SimTime limit) { advance(limit, false); }
+
+void Simulator::advance(SimTime limit, bool inclusive) {
   initialize();
   // Shared semantics with dsim::Scheduler::run_until: execute every event
   // with time <= limit, then pin now() to limit.  A limit already in the
   // past is a no-op — simulated time never regresses, and callers (e.g.
   // window-grant loops re-issuing a stale horizon) may safely pass one.
   if (limit < now_) return;
+  const auto due = [&](SimTime t) {
+    return t != SimTime::max() && (inclusive ? t <= limit : t < limit);
+  };
   if (telemetry::enabled()) {
     const std::uint64_t activations0 = stats_.process_activations;
     const std::uint64_t deltas0 = stats_.delta_cycles;
     telemetry::Span span("rtl.slice", telemetry_track_);
     span.arg("from_us", now_.seconds() * 1e6);
     span.arg("to_us", limit.seconds() * 1e6);
-    while (true) {
-      const SimTime t = next_activity();
-      if (t == SimTime::max() || t > limit) break;
-      step_time();
-    }
+    while (due(next_activity())) step_time();
     span.arg("activations",
              static_cast<double>(stats_.process_activations - activations0));
     span.arg("delta_cycles",
              static_cast<double>(stats_.delta_cycles - deltas0));
   } else {
-    while (true) {
-      const SimTime t = next_activity();
-      if (t == SimTime::max() || t > limit) break;
-      step_time();
-    }
+    while (due(next_activity())) step_time();
   }
   if (now_ < limit) now_ = limit;
 }

@@ -8,19 +8,22 @@
 // time.  Multiply-driven signals are resolved per IEEE 1164, which the test
 // board needs for bidirectional bus ports (§3.3).
 //
-// Scheduling structures are built for the traffic the kernel serves.  Future
-// transactions and callbacks live in per-time-point buckets, and the pending
-// time points are a short vector of pooled bucket ids sorted latest-first,
-// so the earliest sits at back(): step_time pops it in O(1) and a schedule
-// scans from the back for its time or insertion point.  On the benchmark's
-// co-verification workloads the list holds about one entry on average and
-// never more than two — the ClockGen half-period callback plus, now and
-// then, one co-simulation entity delivery — so the scan needs no heap or
-// hash index (DESIGN.md §7.2), and a popped bucket keeps its vectors'
-// capacity on a free list.  Processes and callbacks are stored as SmallFn
-// (the network kernel's callable), and runnable processes are deduplicated
-// with a delta-generation stamp per process instead of sort+unique scans:
-// once warm, a clock cycle allocates nothing.
+// Scheduling structures are built for the traffic the kernel serves.  Free-
+// running clocks are kernel-native: each is a period and a phase in a small
+// array, merged into next_activity(), and an edge is a zero-delay write
+// issued at the start of its time point, ahead of that point's callbacks —
+// no callback, bucket or SmallFn per edge.  Future transactions and
+// callbacks live in per-time-point buckets, and the pending time points are
+// a short vector of pooled bucket ids sorted latest-first, so the earliest
+// sits at back(): step_time pops it in O(1) and a schedule scans from the
+// back for its time or insertion point.  With the clocks outside it, the
+// list never holds more than one time point on the benchmark workloads, so
+// the scan needs no heap or hash index (DESIGN.md §7.2), and a popped
+// bucket keeps its vectors' capacity on a free list.  Processes and
+// callbacks are stored as SmallFn (the network kernel's callable), and
+// runnable processes are deduplicated with a delta-generation stamp per
+// process instead of sort+unique scans: once warm, a clock cycle allocates
+// nothing.
 //
 // A zero-delay write — the kernel's unit of work — is staged at write time:
 // the value goes straight into the writer's driver slot and the signal is
@@ -33,6 +36,9 @@
 // behind one, travel as Transactions through next_delta_ so they commit one
 // delta later in first-touch order.  Writes issued from a change observer
 // take the same route, since the delta they were issued in is mid-commit.
+// Scalar, <=64-bit and release zero-delay writes into a driver slot the
+// writer already owns — every clocked output and test-bench pin write after
+// the first — take an inline path in this header; the rest go out of line.
 //
 // The kernel counts transactions, events, process activations and delta
 // cycles; experiment E7 uses these to reproduce the paper's claim that the
@@ -54,6 +60,7 @@ namespace castanet::rtl {
 
 using SignalId = std::uint32_t;
 using ProcessId = std::uint32_t;
+using ClockId = std::uint32_t;
 
 /// ProcessId used for writes issued from outside any process (test benches,
 /// the co-simulation entity).
@@ -279,29 +286,97 @@ class Simulator {
                       SimTime delay = SimTime::zero());
   /// Convenience for scalar signals; the zero-delay case compares and sets
   /// bit 0 of the driver slot in place, with no LogicVector built.
-  void schedule_write(SignalId s, Logic v, SimTime delay = SimTime::zero());
+  void schedule_write(SignalId s, Logic v, SimTime delay = SimTime::zero()) {
+    DriverSlot* d = owned_slot(s, delay);
+    if (d == nullptr || signals_[s].width != 1) [[unlikely]] {
+      schedule_write_slow(s, v, delay);
+      return;
+    }
+    delta_requested_ = true;
+    ++stats_.transactions;
+    if (d->value.equals_scalar(v)) return;
+    d->value.assign_scalar(v);
+    mark_staged(s, delta_serial_ + 1);
+  }
   /// Writes the low width(s) bits of `v` as strong '0'/'1' (signals up to
   /// 64 bits wide); the zero-delay case compares and overwrites the driver
   /// slot's words in place, with no LogicVector built.
   void schedule_write_uint(SignalId s, std::uint64_t v,
-                           SimTime delay = SimTime::zero());
+                           SimTime delay = SimTime::zero()) {
+    DriverSlot* d = owned_slot(s, delay);
+    if (d == nullptr || signals_[s].width > 64) [[unlikely]] {
+      schedule_write_uint_slow(s, v, delay);
+      return;
+    }
+    delta_requested_ = true;
+    ++stats_.transactions;
+    if (d->value.equals_uint(v)) return;
+    d->value.assign_uint(v);
+    mark_staged(s, delta_serial_ + 1);
+  }
 
-  /// True if `s` changed value in the current delta cycle.
-  bool event(SignalId s) const;
+  /// Drives all of `s` to 'Z' (releases this process's contribution to a
+  /// resolved bus).  A zero-delay release of an already released slot —
+  /// an idle bus master's every clock — is one compare.
+  void schedule_release(SignalId s, SimTime delay = SimTime::zero()) {
+    DriverSlot* d = owned_slot(s, delay);
+    if (d == nullptr || !d->value.all_z()) [[unlikely]] {
+      schedule_release_slow(s, delay);
+      return;
+    }
+    delta_requested_ = true;
+    ++stats_.transactions;
+  }
+
+  /// True if `s` changed value in the current delta cycle.  Inline, like
+  /// rose(): every clocked process asks on every wakeup.
+  bool event(SignalId s) const {
+    require(s < signals_.size(), "event: unknown signal");
+    if (probing_) [[unlikely]] {
+      // Edge state is meaningless in the analysis sandbox; answer false and
+      // flag the probe so the caller degrades this process to unknown.
+      probe_unclean_ = true;
+      return false;
+    }
+    return signals_[s].changed_serial == delta_serial_;
+  }
   /// rising_edge(s): event on bit 0 with new value '1'.
-  bool rose(SignalId s) const;
+  bool rose(SignalId s) const {
+    if (!event(s)) return false;
+    const SignalState& st = signals_[s];
+    return (st.effective.bool_word(0) & ~st.previous.bool_word(0) & 1) != 0;
+  }
   /// falling_edge(s): event on bit 0 with new value '0'.
   bool fell(SignalId s) const;
 
-  // --- generic scheduled callbacks (clock generators, stimuli) ----------
+  // --- generic scheduled callbacks (stimuli, entity deliveries) ---------
   void schedule_callback(SimTime delay, SmallFn fn);
+
+  // --- kernel clocks ----------------------------------------------------
+  /// Registers a free-running clock on scalar signal `s`: a rising edge at
+  /// now()+phase, a falling edge period/2 (rounded down) later, and so on
+  /// every period.  Each edge is a zero-delay write of '1' or '0' by
+  /// kExternalProcess, issued at the start of its time point ahead of the
+  /// point's callbacks — so it follows the callbacks' rules: it lands in
+  /// the point's first delta, or in the second when the point holds
+  /// delayed transactions.  Clocks sharing an instant write in
+  /// registration order.
+  ClockId add_clock(SignalId s, SimTime period,
+                    SimTime phase = SimTime::zero());
+  /// Stops `c` for good: no further edges, and the clock no longer keeps
+  /// the kernel from being quiescent.
+  void stop_clock(ClockId c);
+  /// Rising edges `c` has written so far.
+  std::uint64_t clock_rising_edges(ClockId c) const;
 
   // --- execution --------------------------------------------------------
   SimTime now() const { return now_; }
   /// Time of the next scheduled activity; SimTime::max() when idle.
   SimTime next_activity() const;
   /// Runs every process once (VHDL initialization); implicit in run_until.
-  void initialize();
+  void initialize() {
+    if (!initialized_) [[unlikely]] initialize_design();
+  }
   /// Executes one time point completely (all delta cycles); false when no
   /// activity is pending.
   bool step_time();
@@ -309,6 +384,11 @@ class Simulator {
   /// Shares its semantics with dsim::Scheduler::run_until; a `limit` that
   /// precedes now() is a no-op — simulated time never regresses.
   void run_until(SimTime limit);
+  /// Executes all activity with time < limit, then sets now to limit.
+  /// Activity at `limit` itself stays pending, so writes issued next share
+  /// its time point: a DUT stepped one clock period per call gets its
+  /// inputs and the period's rising edge in one time point.
+  void run_before(SimTime limit);
   bool quiescent() const;
 
   const KernelStats& stats() const { return stats_; }
@@ -367,6 +447,41 @@ class Simulator {
     std::vector<SmallFn> callbacks;
   };
 
+  /// A kernel clock (see add_clock).
+  struct KernelClock {
+    SignalId sig;
+    std::int64_t high_ps;  ///< rising edge to falling edge
+    std::int64_t low_ps;   ///< falling edge to rising edge
+    SimTime next;          ///< time of the next edge
+    bool next_rising = true;
+    bool running = true;
+    std::uint64_t rising_edges = 0;
+  };
+
+  /// The driver slot a zero-delay write by the running process stages into
+  /// on the inline path, or nullptr when the write must go out of line: a
+  /// delay, a probe, a deferred delta, an unknown signal, or the process's
+  /// first write to the signal (no slot yet).
+  DriverSlot* owned_slot(SignalId s, SimTime delay) {
+    if (delay != SimTime::zero() || probing_ || defer_zero_delay() ||
+        s >= signals_.size()) {
+      return nullptr;
+    }
+    return find_driver(signals_[s], current_process_);
+  }
+  void schedule_write_slow(SignalId s, Logic v, SimTime delay);
+  void schedule_write_uint_slow(SignalId s, std::uint64_t v, SimTime delay);
+  void schedule_release_slow(SignalId s, SimTime delay);
+  /// Cold half of initialize().
+  void initialize_design();
+  /// Writes every running clock's edge due at `t` and advances it.
+  void fire_clock_edges(SimTime t);
+  /// Recomputes clock_next_ from the running clocks.
+  void update_clock_next();
+  /// Steps every time point before `limit` (or up to and including it when
+  /// `inclusive`), then pins now() to limit; shared by run_until and
+  /// run_before.
+  void advance(SimTime limit, bool inclusive);
   TimeBucket& bucket_for(SimTime when);
   void enqueue_runnable(ProcessId p);
   /// True while zero-delay writes must travel through next_delta_ instead
@@ -375,8 +490,15 @@ class Simulator {
   bool defer_zero_delay() const {
     return defer_writes_ || !next_delta_.empty();
   }
-  /// `pid`'s driver slot on `st`, or nullptr before its first write.
-  static DriverSlot* find_driver(SignalState& st, ProcessId pid);
+  /// `pid`'s driver slot on `st`, or nullptr before its first write.  A
+  /// net has one slot per driving process, so the scan is one or two
+  /// compares.
+  static DriverSlot* find_driver(SignalState& st, ProcessId pid) {
+    for (DriverSlot& d : st.drivers) {
+      if (d.pid == pid) return &d;
+    }
+    return nullptr;
+  }
   /// Apply phase, first half: moves `v` into `pid`'s driver slot on `sig`
   /// (creating the slot on a first write) and queues the signal for the
   /// commit of delta `serial`; an identical value only counts the
@@ -385,6 +507,8 @@ class Simulator {
   void stage(SignalId sig, ProcessId pid, LogicVector&& v,
              std::uint64_t serial);
   /// Queues `sig` for the commit of delta `serial` unless already queued.
+  /// Out of line, so the inline write paths do not each carry a copy of
+  /// the vector's growth code.
   void mark_staged(SignalId sig, std::uint64_t serial);
   /// Opens a delta cycle: stages `batch` (emptying it), then commits every
   /// signal staged for this delta.
@@ -442,6 +566,11 @@ class Simulator {
   std::vector<std::uint32_t> pending_;
   std::vector<TimeBucket> buckets_;
   std::vector<std::uint32_t> free_buckets_;
+
+  // Kernel clocks (see add_clock) and the earliest next edge of a running
+  // one, SimTime::max() when none runs.
+  std::vector<KernelClock> clocks_;
+  SimTime clock_next_ = SimTime::max();
 
   // Per-delta runnable set, deduplicated by generation stamp: a process is
   // enqueued at most once per delta regardless of how many of its

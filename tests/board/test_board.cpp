@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/board/selftest.hpp"
 #include "src/core/error.hpp"
 
 namespace castanet::board {
@@ -17,19 +18,19 @@ class AdderDut : public BehavioralDut {
     latch_ = 0;
   }
   void cycle(const std::vector<std::uint64_t>& inputs,
-             const std::vector<bool>& input_enable,
+             const std::vector<std::uint8_t>& input_enable,
              std::vector<std::uint64_t>& outputs,
-             std::vector<bool>& output_enable) override {
+             std::vector<std::uint8_t>& output_enable) override {
     outputs.assign(2, 0);
-    output_enable.assign(2, true);
+    output_enable.assign(2, 1);
     outputs[0] = reg_;
     reg_ = (inputs[0] + inputs[1]) & 0xFF;
     if (input_enable[2]) {
       latch_ = inputs[2];       // tester drives the bus: latch it
-      output_enable[1] = false; // DUT keeps its side released
+      output_enable[1] = 0;     // DUT keeps its side released
     } else {
       outputs[1] = latch_;      // tester released: DUT drives the echo
-      output_enable[1] = true;
+      output_enable[1] = 1;
     }
   }
   std::size_t num_inputs() const override { return 3; }
@@ -143,6 +144,41 @@ TEST_F(BoardTest, TestCyclesCounted) {
   board.run_test_cycle(dut, 2);
   board.run_test_cycle(dut, 2);
   EXPECT_EQ(board.test_cycles_run(), 2u);
+}
+
+TEST_F(BoardTest, ClockBelowGatingFactorRejected) {
+  // 3 Hz through a divide-by-4 gate leaves the DUT a 0 Hz clock: there is
+  // no hardware time to model, so the run must not start.
+  ConfigDataSet cfg = adder_config();
+  cfg.gating_factor = 4;
+  board.configure(cfg);
+  board.load_stimulus(0, {1, 2});
+  EXPECT_THROW(board.run_test_cycle(dut, 2, 3), ConfigError);
+  EXPECT_EQ(board.test_cycles_run(), 0u);
+  // The slowest legal clock gives the DUT 1 Hz: one second per cycle.
+  const auto stats = board.run_test_cycle(dut, 2, 4);
+  EXPECT_EQ(stats.hw_time, SimTime::from_sec(2));
+}
+
+TEST(BoardPorts, PortNumberBeyondTheDutRejected) {
+  // Two mapped inports fit a two-input DUT by count, but inport 7 names a
+  // pin the DUT does not have.
+  ConfigDataSet cfg;
+  cfg.inports.push_back({0, 8, {{0, 0, 8}}});
+  cfg.inports.push_back({7, 8, {{1, 0, 8}}});
+  cfg.outports.push_back({0, 8, {{8, 0, 8}}});
+  HardwareTestBoard board;
+  board.configure(cfg);
+  board.load_stimulus(7, {1, 2});
+  LoopbackDut dut(2);
+  EXPECT_THROW(board.run_test_cycle(dut, 2), ConfigError);
+
+  cfg.inports.pop_back();
+  cfg.outports.push_back({5, 8, {{9, 0, 8}}});
+  board.configure(cfg);
+  board.load_stimulus(0, {1, 2});
+  EXPECT_THROW(board.run_test_cycle(dut, 2), ConfigError);
+  EXPECT_EQ(board.test_cycles_run(), 0u);
 }
 
 TEST_F(BoardTest, ResponseForUnknownOutportThrows) {

@@ -49,10 +49,10 @@ TEST(SelfTest, LaneCountValidated) {
 TEST(LoopbackDutTest, EchoesWithOneCycleDelay) {
   LoopbackDut dut(2);
   std::vector<std::uint64_t> out;
-  std::vector<bool> en;
-  dut.cycle({0xAB, 0xCD}, {true, true}, out, en);
+  std::vector<std::uint8_t> en;
+  dut.cycle({0xAB, 0xCD}, {1, 1}, out, en);
   EXPECT_EQ(out[0], 0u);  // registered: nothing yet
-  dut.cycle({0x00, 0x00}, {true, true}, out, en);
+  dut.cycle({0x00, 0x00}, {1, 1}, out, en);
   EXPECT_EQ(out[0], 0xABu);
   EXPECT_EQ(out[1], 0xCDu);
 }
@@ -60,9 +60,9 @@ TEST(LoopbackDutTest, EchoesWithOneCycleDelay) {
 TEST(LoopbackDutTest, DisabledInputReadsAsZero) {
   LoopbackDut dut(1);
   std::vector<std::uint64_t> out;
-  std::vector<bool> en;
-  dut.cycle({0xFF}, {false}, out, en);
-  dut.cycle({0x00}, {true}, out, en);
+  std::vector<std::uint8_t> en;
+  dut.cycle({0xFF}, {0}, out, en);
+  dut.cycle({0x00}, {1}, out, en);
   EXPECT_EQ(out[0], 0u);
 }
 

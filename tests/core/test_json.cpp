@@ -104,6 +104,26 @@ TEST(Json, NumbersAreReadWhole) {
   EXPECT_EQ(parse("4.9406564584124654e-324").as_double(), 5e-324);
 }
 
+TEST(Json, NumbersFollowTheJsonGrammar) {
+  // Accepted: every production of the RFC 8259 number grammar.
+  EXPECT_EQ(parse("0").as_int(), 0);
+  EXPECT_EQ(parse("-0").as_int(), 0);
+  EXPECT_EQ(parse("105").as_int(), 105);
+  EXPECT_DOUBLE_EQ(parse("0.5").as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(parse("-12.25").as_double(), -12.25);
+  EXPECT_DOUBLE_EQ(parse("1e3").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(parse("2E-2").as_double(), 0.02);
+  EXPECT_DOUBLE_EQ(parse("0e+1").as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(parse("[-1.5e+2]").as_array().at(0).as_double(), -150.0);
+  // Rejected: a leading '+', a leading zero before a digit, a '.' without
+  // a digit on either side, an exponent without digits, a bare '-'.
+  for (const char* bad : {"+5", "01", "-01", "00", ".5", "-.5", "1.", "1.e3",
+                          "1e", "1e+", "1E-", "-", "[+1]", "[01]",
+                          "{\"a\": .5}", "[1.]"}) {
+    EXPECT_THROW(parse(bad), IoError) << bad;
+  }
+}
+
 TEST(Json, AppendQuotedEscapesControlCharacters) {
   std::string out = "x";
   append_quoted(out, std::string("a\"b\\c\x01\n", 7));

@@ -5,14 +5,18 @@
 // scheduled from inside a callback (a new time point at the same time) and
 // run_until limits that are stale or fall between pending points.
 //
-// Each scenario drives the kernel with external writes and callbacks only,
-// and replays the same script on an in-test reference model of the
-// kernel's transport-delay semantics: a std::map of time points, each with
-// its writes and callbacks in schedule order.  The change-observer log, the
-// callback log, next_activity() after every run_until and the kernel
-// statistics must match the model exactly.
+// Each scenario drives the kernel with external writes, callbacks and
+// kernel clocks — started and stopped between rounds, with periods whose
+// edges land on the same instants as callbacks and delayed writes — and
+// replays the same script on an in-test reference model of the kernel's
+// transport-delay semantics: a std::map of time points, each with its
+// writes and callbacks in schedule order, and clock edges written ahead of
+// a point's callbacks.  The change-observer log, the callback log,
+// next_activity() after every run_until, each clock's rising-edge count and
+// the kernel statistics must match the model exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -52,8 +56,19 @@ struct CallbackRun {
 /// in-object words and one heap-backed wide bus.
 const std::vector<std::size_t> kWidths = {1, 1, 1, 8, 8, 100};
 
-/// The scenario: top-level rounds of schedules and run_until limits, and
-/// the script each callback executes when it fires.
+/// A kernel clock of the scenario, on its own scalar signal (created after
+/// the kWidths signals, in clock order).  It is registered at the start of
+/// round `start` and, unless `stop` is negative, stopped at the start of
+/// round `stop`.
+struct ClockPlan {
+  int start = 0;
+  int stop = -1;
+  SimTime period;
+  SimTime phase;
+};
+
+/// The scenario: top-level rounds of schedules and run_until limits, the
+/// script each callback executes when it fires, and the clocks.
 struct Scenario {
   struct Round {
     std::vector<Op> ops;  ///< issued from outside any process
@@ -61,6 +76,7 @@ struct Scenario {
   };
   std::vector<Round> rounds;
   std::vector<std::vector<Op>> scripts;  ///< indexed by callback id
+  std::vector<ClockPlan> clocks;
 };
 
 class ScenarioBuilder {
@@ -89,6 +105,20 @@ class ScenarioBuilder {
       scenario_.rounds.push_back(std::move(round));
     }
     scenario_.rounds.push_back({{}, SimTime::from_us(100)});
+    // Edges on the 5 ns grid of the clustered delays: a free-running clock
+    // from time 0, one started late and stopped again, and one with an odd
+    // period (3.5 ns high and low) off that grid.
+    const auto round = [&](int lo, int hi) {
+      return static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(lo),
+                                                static_cast<std::uint64_t>(hi)));
+    };
+    scenario_.clocks.push_back(
+        {0, -1, SimTime::from_ns(10), SimTime::zero()});
+    scenario_.clocks.push_back(
+        {round(2, 10), round(15, 30), SimTime::from_ns(20),
+         SimTime::from_ns(static_cast<std::int64_t>(5 * round(0, 3)))});
+    scenario_.clocks.push_back(
+        {round(5, 20), -1, SimTime::from_ns(7), SimTime::from_ps(round(0, 999))});
     return std::move(scenario_);
   }
 
@@ -144,6 +174,11 @@ struct Trace {
   std::vector<LogEntry> changes;
   std::vector<CallbackRun> callbacks;
   std::vector<std::int64_t> next_activity;  ///< after every run_until
+  std::vector<std::uint64_t> rising_edges;   ///< per clock, at the end
+  /// Model only: clock edges sharing a time point with delayed writes, and
+  /// with callbacks (the scenario must reach both orderings).
+  std::uint64_t edges_with_writes = 0;
+  std::uint64_t edges_with_callbacks = 0;
   std::uint64_t time_points = 0;
   std::uint64_t delta_cycles = 0;
   std::uint64_t transactions = 0;
@@ -159,6 +194,10 @@ class KernelRun {
       sim_.create_signal(std::string("s").append(std::to_string(i)), kWidths[i],
                          Logic::U);
     }
+    for (std::size_t c = 0; c < sc_.clocks.size(); ++c) {
+      sim_.create_signal(std::string("clk").append(std::to_string(c)), 1,
+                         Logic::U);
+    }
     sim_.add_change_observer(
         [this](SignalId s, const LogicVector& v, SimTime t) {
           trace_.changes.push_back({s, v.to_string(), t.ps()});
@@ -166,11 +205,24 @@ class KernelRun {
   }
 
   Trace run() {
-    for (const Scenario::Round& round : sc_.rounds) {
+    std::vector<ClockId> ids(sc_.clocks.size());
+    for (int r = 0; r < static_cast<int>(sc_.rounds.size()); ++r) {
+      for (std::size_t c = 0; c < sc_.clocks.size(); ++c) {
+        const ClockPlan& plan = sc_.clocks[c];
+        if (plan.start == r) {
+          ids[c] = sim_.add_clock(static_cast<SignalId>(kWidths.size() + c),
+                                  plan.period, plan.phase);
+        }
+        if (plan.stop == r) sim_.stop_clock(ids[c]);
+      }
+      const Scenario::Round& round = sc_.rounds[static_cast<std::size_t>(r)];
       for (const Op& op : round.ops) issue(op);
       sim_.run_until(round.limit);
       const SimTime next = sim_.next_activity();
       trace_.next_activity.push_back(next.ps());
+    }
+    for (ClockId id : ids) {
+      trace_.rising_edges.push_back(sim_.clock_rising_edges(id));
     }
     const KernelStats& st = sim_.stats();
     trace_.time_points = st.time_points;
@@ -207,13 +259,29 @@ class ModelRun {
     for (std::size_t w : kWidths) {
       signals_.push_back({LogicVector(w, Logic::U), std::nullopt});
     }
+    for (std::size_t c = 0; c < sc_.clocks.size(); ++c) {
+      signals_.push_back({LogicVector(1, Logic::U), std::nullopt});
+      clocks_.emplace_back().sig = static_cast<SignalId>(kWidths.size() + c);
+    }
   }
 
   Trace run() {
-    for (const Scenario::Round& round : sc_.rounds) {
+    for (int r = 0; r < static_cast<int>(sc_.rounds.size()); ++r) {
+      for (std::size_t c = 0; c < sc_.clocks.size(); ++c) {
+        const ClockPlan& plan = sc_.clocks[c];
+        if (plan.start == r) {
+          clocks_[c].running = true;
+          clocks_[c].next = now_ + plan.phase;
+        }
+        if (plan.stop == r) clocks_[c].running = false;
+      }
+      const Scenario::Round& round = sc_.rounds[static_cast<std::size_t>(r)];
       for (const Op& op : round.ops) issue(op);
       run_until(round.limit);
       trace_.next_activity.push_back(next_activity().ps());
+    }
+    for (const ClockModel& c : clocks_) {
+      trace_.rising_edges.push_back(c.rising_edges);
     }
     return std::move(trace_);
   }
@@ -231,6 +299,13 @@ class ModelRun {
   struct SignalModel {
     LogicVector effective;
     std::optional<LogicVector> driver;  ///< unset until the first write
+  };
+  struct ClockModel {
+    SignalId sig;
+    bool running = false;
+    bool rising = true;  ///< the next edge rises
+    SimTime next;
+    std::uint64_t rising_edges = 0;
   };
 
   void issue(const Op& op) {
@@ -250,8 +325,12 @@ class ModelRun {
 
   SimTime next_activity() const {
     if (!next_delta_.empty()) return now_;
-    return points_.empty() ? SimTime::max()
-                           : SimTime::from_ps(points_.begin()->first);
+    SimTime t = points_.empty() ? SimTime::max()
+                                : SimTime::from_ps(points_.begin()->first);
+    for (const ClockModel& c : clocks_) {
+      if (c.running) t = std::min(t, c.next);
+    }
+    return t;
   }
 
   void run_until(SimTime limit) {
@@ -270,8 +349,22 @@ class ModelRun {
       callbacks = std::move(points_.begin()->second.callbacks);
       points_.erase(points_.begin());
     }
-    // Callbacks run first; their zero-delay writes form the delta after
-    // the point's own writes.
+    // Clock edges, then callbacks; their zero-delay writes form the delta
+    // after the point's own writes.  A rising edge lasts half the period
+    // (rounded down), the falling edge the rest.
+    for (std::size_t c = 0; c < clocks_.size(); ++c) {
+      ClockModel& clk = clocks_[c];
+      if (!clk.running || clk.next != now_) continue;
+      if (!batch.empty()) ++trace_.edges_with_writes;
+      if (!callbacks.empty()) ++trace_.edges_with_callbacks;
+      const std::int64_t period = sc_.clocks[c].period.ps();
+      next_delta_.push_back(
+          {clk.sig, LogicVector(1, clk.rising ? Logic::L1 : Logic::L0)});
+      clk.next += SimTime::from_ps(clk.rising ? period / 2
+                                              : period - period / 2);
+      if (clk.rising) ++clk.rising_edges;
+      clk.rising = !clk.rising;
+    }
     for (std::uint32_t id : callbacks) {
       trace_.callbacks.push_back({id, now_.ps()});
       for (const Op& child : sc_.scripts[id]) issue(child);
@@ -313,6 +406,7 @@ class ModelRun {
   std::map<std::int64_t, Point> points_;
   std::vector<Write> next_delta_;
   std::vector<SignalModel> signals_;
+  std::vector<ClockModel> clocks_;
   Trace trace_;
 };
 
@@ -326,6 +420,7 @@ void expect_same(const Trace& kernel, const Trace& model) {
   }
   EXPECT_EQ(kernel.callbacks, model.callbacks);
   EXPECT_EQ(kernel.next_activity, model.next_activity);
+  EXPECT_EQ(kernel.rising_edges, model.rising_edges);
   EXPECT_EQ(kernel.time_points, model.time_points);
   EXPECT_EQ(kernel.delta_cycles, model.delta_cycles);
   EXPECT_EQ(kernel.transactions, model.transactions);
@@ -340,6 +435,9 @@ TEST_P(KernelTimeline, MatchesTransportDelayModel) {
   // The scenario must reach the shapes it exists for.
   ASSERT_GT(model.callbacks.size(), 50u);
   ASSERT_GT(model.changes.size(), 100u);
+  ASSERT_GT(model.rising_edges.at(1), 0u);
+  ASSERT_GT(model.edges_with_writes, 0u);
+  ASSERT_GT(model.edges_with_callbacks, 0u);
   for (bool levelized : {true, false}) {
     SCOPED_TRACE(levelized ? "levelized" : "delta loop");
     expect_same(KernelRun(sc, levelized).run(), model);

@@ -1,10 +1,10 @@
 // Steady-state allocation contract of the RTL kernel: once a clocked design
 // is warm (bucket pool, pending list, delta and scratch vectors at their
 // working capacity), further clock cycles perform ZERO heap allocations.
-// The design covers every hot-path kind of activity: the ClockGen
-// half-period callbacks, a rising-edge clocked process, a combinational
-// process, scalar and word writes, one delayed write and one scheduled
-// callback per cycle.  Proven like tests/dsim/test_scheduler_alloc.cpp:
+// The design covers every hot-path kind of activity: the kernel clock's
+// edges, a rising-edge clocked process, a combinational process, scalar
+// and word writes, one delayed write and one scheduled callback per
+// cycle.  Proven like tests/dsim/test_scheduler_alloc.cpp:
 // this binary replaces the global allocator with a counting wrapper and
 // asserts the count does not move across the hot phase.
 #include <gtest/gtest.h>
