@@ -212,8 +212,9 @@ class LogicVector {
   const std::uint64_t* plane(std::size_t p) const {
     return inlined() ? &sbo_[p] : heap_.get() + p * words();
   }
-  /// Word-wise compare of two in-object plane sets (std::array's
-  /// operator== may become a memcmp call).
+  /// Word-wise compare of two in-object plane sets.  GCC 12 compiles
+  /// std::array<std::uint64_t, 4>::operator== to an out-of-line
+  /// `call memcmp` at -O2 and -O3; this is four xor/or pairs inline.
   static bool same_planes(const std::array<std::uint64_t, kPlanes>& a,
                           const std::array<std::uint64_t, kPlanes>& b) {
     return ((a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) | (a[3] ^ b[3])) ==

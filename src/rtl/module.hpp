@@ -189,6 +189,9 @@ class ClockGen {
 
   std::uint64_t rising_edges() const { return sim_->clock_rising_edges(id_); }
   SimTime period() const { return period_; }
+  /// Simulator::stop_clock: an edge due at now() that the kernel has
+  /// already issued (a callback at an edge instant runs after it) is still
+  /// applied and counted in rising_edges().
   void stop() { sim_->stop_clock(id_); }
 
  private:

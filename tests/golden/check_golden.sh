@@ -9,8 +9,9 @@
 # Each <name>=<binary> runs the binary without arguments and compares its
 # stdout with <golden-dir>/<name>.out.  The name switch_coverify instead runs
 # `<binary> 8 --vcd <work-dir>/switch_coverify_8.vcd` and compares the VCD
-# with <golden-dir>/switch_coverify_8.vcd.  With CASTANET_GOLDEN_UPDATE=1
-# the outputs overwrite the goldens; re-record only a change that is meant.
+# with <golden-dir>/switch_coverify_8.vcd.  The script only compares: to
+# re-record a golden after a change that is meant, run the binary by hand
+# with its stdout (or VCD) written to the golden file.
 set -uo pipefail
 
 if [[ $# -lt 3 ]]; then
@@ -39,9 +40,6 @@ for spec in "$@"; do
   if [[ $rc -ne 0 ]]; then
     echo "FAIL $name: exit status $rc"
     failed=1
-  elif [[ ${CASTANET_GOLDEN_UPDATE:-0} == 1 ]]; then
-    cp "$out" "$want"
-    echo "updated $want"
   elif ! diff -u "$want" "$out"; then
     echo "FAIL $name: output differs from $want"
     failed=1

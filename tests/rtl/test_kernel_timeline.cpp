@@ -486,6 +486,26 @@ TEST(KernelTimelineCases, ZeroDelayCallbackFromCallbackIsItsOwnTimePoint) {
   EXPECT_TRUE(sim.quiescent());
 }
 
+TEST(KernelTimelineCases, StopFromCallbackAtEdgeInstantKeepsThatEdge) {
+  // Edges are issued ahead of a time point's callbacks, so a callback at
+  // an edge instant that stops the clock runs after that edge: the edge
+  // is still applied and counted, and no later edge follows.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const ClockId c = sim.add_clock(clk, SimTime::from_ns(10));
+  std::uint64_t edges_seen = 0;
+  sim.schedule_callback(SimTime::from_ns(20), [&] {
+    edges_seen = sim.clock_rising_edges(c);
+    sim.stop_clock(c);
+  });
+  sim.run_until(SimTime::from_ns(100));
+  // Rising edges at 0, 10 and 20 ns; the one at 20 ns precedes the stop.
+  EXPECT_EQ(edges_seen, 3u);
+  EXPECT_EQ(sim.clock_rising_edges(c), 3u);
+  EXPECT_EQ(sim.value(clk).bit(0), Logic::L1);
+  EXPECT_TRUE(sim.quiescent());
+}
+
 TEST(KernelTimelineCases, StaleLimitIsANoOp) {
   Simulator sim;
   const SignalId a = sim.create_signal("a", 1, Logic::L0);
